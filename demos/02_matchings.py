@@ -1,5 +1,5 @@
-"""Maximum matchings: bipartite and general solvers, plus the exhaustive
-oracle that keeps them honest."""
+"""Maximum matchings: one blossom search for bipartite and general graphs,
+plus the exhaustive oracle that keeps it honest."""
 
 from preclusion import (
     brute_force_matching_number,
@@ -15,10 +15,10 @@ from preclusion import (
 )
 
 q4 = hypercube(4)
-m = max_matching(q4)  # bipartite route (augmenting paths)
+m = max_matching(q4)  # bipartite: the search never meets a blossom
 print(f"4-cube: matching number {m.size}, perfect: {has_perfect_matching(q4)}")
 
-p = petersen()  # no bipartition: blossom contraction route
+p = petersen()  # odd cycles: blossoms are contracted
 print(f"Petersen: matching number {matching_number(p)},"
       f" oracle agrees: {matching_number(p) == brute_force_matching_number(p)}")
 

@@ -2,7 +2,7 @@
 the reduction, and reproduce the verification suites, all with JSON reports.
 
 Exit codes: 0 feasible/pass, 1 infeasible or fail-with-counterexample,
-2 usage or precondition error.
+2 usage or precondition error, 4 internal error (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--budget", type=int, default=None,
                          help="decision mode: search only up to this cardinality")
     p_solve.add_argument("--deterministic", action="store_true")
-    p_solve.add_argument("--jobs", type=int, default=1)
+    p_solve.add_argument("--jobs", type=int, default=1,
+                         help="accepted and validated (>= 1) but has no effect")
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="build the gadget for a bipartite source")
@@ -353,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--slow", action="store_true",
                           help="allow the long-running lemma4 n=4 enumeration")
     p_verify.add_argument("--deterministic", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="accepted and validated (>= 1) but has no effect")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the solver over a hypercube sweep")
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-n", type=int, default=3)
     p_bench.add_argument("--csv", action="store_true")
     p_bench.add_argument("--deterministic", action="store_true")
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="accepted and validated (>= 1) but has no effect")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -380,6 +383,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a bug; exit 1 would read as "infinity".
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Maximum-matching computation and matching-based predicates.
 
-Bipartite graphs (any graph constructed with a bipartition) go through
-Hopcroft-Karp; everything else goes through an array-based blossom
-contraction search in the O(V^3) style: simple enough to audit, fast enough
-for desk-scale instances. A subset-enumeration oracle and an exhaustive
+One matching engine serves every graph, bipartite or not: an iterative
+Edmonds blossom search from a single free vertex (:func:`augment_from`), in
+the array-based O(V^3) style: simple enough to audit, fast enough for
+desk-scale instances. A maximum matching is a greedy start plus one such
+search per free vertex; the solver re-matches incrementally with the same
+call after each edge deletion. A subset-enumeration oracle and an exhaustive
 near-perfect-matching enumerator provide independent cross-checks.
 """
 
@@ -54,198 +56,75 @@ def matching_from_edge_ids(g: Graph, edge_ids: Iterable[int]) -> Matching:
 
 
 # ---------------------------------------------------------------------------
-# Hopcroft-Karp (bipartite)
+# Edmonds blossom search (all graphs)
 # ---------------------------------------------------------------------------
 
-def _bipartite_mates(g: Graph, dead: frozenset[int]) -> list[int]:
-    side = g.bipartition
-    assert side is not None
+def augment_from(g: Graph, dead: frozenset[int], mate: list[int], root: int) -> bool:
+    """Grow the matching ``mate`` of ``g`` minus the ``dead`` edges by one
+    augmenting path from the free vertex ``root``, in place.
+
+    Edmonds' search (Edmonds 1965, "Paths, trees, and flowers") in the
+    array form: grow an alternating BFS tree from ``root``; when two even
+    vertices meet, contract the blossom by redirecting ``base`` pointers to
+    their lowest common ancestor. Returns False, with ``mate`` untouched,
+    when no augmenting path starts at ``root``. Iterative throughout, so
+    path length is bounded by memory, not by the recursion limit.
+    """
     n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid in dead:
-            continue
-        if side[u] == 1:
-            u, v = v, u
-        adj[u].append(v)
-    left = [v for v in range(n) if side[v] == 0]
-    mate = [-1] * n
-    for u in left:
-        for v in adj[u]:
-            if mate[v] == -1:
-                mate[u] = v
-                mate[v] = u
-                break
-
-    inf = n + 1
-    dist = [inf] * n
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if mate[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        reached_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = mate[v]
-                if w == -1:
-                    reached_free = True
-                elif dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return reached_free
-
-    def augment_from(root: int) -> bool:
-        # Iterative DFS over the BFS layering; frames hold (left vertex,
-        # neighbor iterator), rights holds the chosen right vertex per frame.
-        stack = [(root, iter(adj[root]))]
-        rights: list[int] = []
-        while stack:
-            u, it = stack[-1]
-            moved = False
-            for v in it:
-                w = mate[v]
-                if w == -1:
-                    rights.append(v)
-                    for (lu, _), rv in zip(stack, rights):
-                        mate[lu] = rv
-                        mate[rv] = lu
-                    return True
-                if dist[w] == dist[u] + 1:
-                    rights.append(v)
-                    stack.append((w, iter(adj[w])))
-                    moved = True
-                    break
-            if not moved:
-                dist[u] = inf
-                stack.pop()
-                if rights:
-                    rights.pop()
-        return False
-
-    while bfs():
-        for u in left:
-            if mate[u] == -1:
-                augment_from(u)
-    return mate
-
-
-def kuhn_augment(g: Graph, dead: frozenset[int], mate: list[int], start: int) -> bool:
-    """Try to grow a bipartite matching by one alternating path from the free
-    vertex ``start``; used for incremental re-matching after one deletion."""
-    visited: set[int] = set()
-
-    def dfs(u: int) -> bool:
-        for w, eid in g.adj[u]:
-            if eid in dead or w in visited:
-                continue
-            visited.add(w)
-            if mate[w] == -1 or dfs(mate[w]):
-                mate[w] = u
-                mate[u] = w
-                return True
-        return False
-
-    return dfs(start)
-
-
-# ---------------------------------------------------------------------------
-# Blossom contraction (general graphs)
-# ---------------------------------------------------------------------------
-
-def _general_mates(g: Graph, dead: frozenset[int]) -> list[int]:
-    # Classic array-based Edmonds search: grow an alternating BFS tree from
-    # each free vertex; when two even vertices meet, contract the blossom by
-    # redirecting `base` pointers to the lowest common ancestor.
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        if eid not in dead:
-            adj[u].append(v)
-            adj[v].append(u)
-    mate = [-1] * n
-    for u in range(n):
-        if mate[u] == -1:
-            for v in adj[u]:
-                if mate[v] == -1:
-                    mate[u] = v
-                    mate[v] = u
-                    break
-
+    adj = g.adj
     parent = [-1] * n
     base = list(range(n))
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    def find_augmenting_path(root: int) -> bool:
-        nonlocal parent, base
-        parent = [-1] * n
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    # `to` is an even vertex of the tree: blossom found.
-                    cur_base = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if mate[to] == -1:
-                        # Free vertex reached: flip the alternating path.
-                        u2 = to
-                        while u2 != -1:
-                            pv = parent[u2]
-                            next_u = mate[pv]
-                            mate[u2] = pv
-                            mate[pv] = u2
-                            u2 = next_u
-                        return True
-                    used[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
-    for v in range(n):
-        if mate[v] == -1:
-            find_augmenting_path(v)
-    return mate
+    used = [False] * n
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to, eid in adj[v]:
+            if base[v] == base[to] or mate[v] == to or eid in dead:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                # `to` is an even vertex of the tree: blossom found. Its base
+                # is the lowest common ancestor of v and to.
+                seen = [False] * n
+                x = v
+                while True:
+                    x = base[x]
+                    seen[x] = True
+                    if mate[x] == -1:
+                        break
+                    x = parent[mate[x]]
+                x = to
+                while not seen[base[x]]:
+                    x = parent[mate[base[x]]]
+                top = base[x]
+                in_blossom = [False] * n
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != top:
+                        in_blossom[base[x]] = True
+                        in_blossom[base[mate[x]]] = True
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = top
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    # Free vertex reached: flip the alternating path.
+                    while to != -1:
+                        pv = parent[to]
+                        after = mate[pv]
+                        mate[to] = pv
+                        mate[pv] = to
+                        to = after
+                    return True
+                used[mate[to]] = True
+                queue.append(mate[to])
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +132,24 @@ def _general_mates(g: Graph, dead: frozenset[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def maximum_matching_mates(g: Graph, dead: frozenset[int] = frozenset()) -> list[int]:
-    """Mate array of a maximum matching of ``g`` minus the ``dead`` edges."""
-    if g.bipartition is not None:
-        return _bipartite_mates(g, dead)
-    return _general_mates(g, dead)
+    """Mate array of a maximum matching of ``g`` minus the ``dead`` edges:
+    a greedy start (lowest neighbor first), then one :func:`augment_from`
+    per vertex still free. A vertex with no augmenting path never gains one
+    later, so a single pass suffices."""
+    n = g.n
+    adj = g.adj
+    mate = [-1] * n
+    for u in range(n):
+        if mate[u] == -1:
+            for w, eid in adj[u]:
+                if mate[w] == -1 and eid not in dead:
+                    mate[u] = w
+                    mate[w] = u
+                    break
+    for v in range(n):
+        if mate[v] == -1:
+            augment_from(g, dead, mate, v)
+    return mate
 
 
 def _mates_to_edge_ids(g: Graph, mate: list[int]) -> list[int]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -27,7 +26,7 @@ from typing import Optional
 from .errors import OracleLimitError, ParameterError, PreconditionError
 from .graphs import EdgeSet, Graph, components, random_graph, require_tagged
 from .matching import (
-    kuhn_augment,
+    augment_from,
     matching_number,
     matching_number_excluding,
     maximum_matching_mates,
@@ -198,11 +197,6 @@ class _Stats:
         self.side_prunes = 0
         self.rounds = 0
 
-    def merge(self, other: "_Stats") -> None:
-        self.nodes += other.nodes
-        self.budget_prunes += other.budget_prunes
-        self.side_prunes += other.side_prunes
-
     def as_dict(self) -> dict:
         return {
             "nodes": self.nodes,
@@ -217,20 +211,18 @@ class _Search:
         self.g = g
         self.kind = kind
         self.threshold = g.n // 2 - 1
-        self.bipartite = g.bipartition is not None
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
-        # Dropping one matched edge loses at most one unit of nu; for
-        # bipartite graphs a single alternating-path search from each freed
-        # endpoint restores maximality (any augmenting path must end at a
-        # newly freed vertex). General graphs recompute from scratch.
-        if not self.bipartite:
-            return maximum_matching_mates(self.g, dead)
+        # The parent's matching M was maximum, and deleting its edge ab
+        # loses at most one unit of nu. Any augmenting path for M - ab in
+        # g - dead must end at a or b (one avoiding both would already
+        # augment M), so one Edmonds search from a, then from b, restores
+        # maximality.
         mates = parent_mates.copy()
         a, b = self.g.edges[removed]
         mates[a] = mates[b] = -1
-        if not kuhn_augment(self.g, dead, mates, a):
-            kuhn_augment(self.g, dead, mates, b)
+        if not augment_from(self.g, dead, mates, a):
+            augment_from(self.g, dead, mates, b)
         return mates
 
     def _side_satisfied(self, dead: frozenset[int]) -> bool:
@@ -279,54 +271,13 @@ class _Search:
             cur_banned = cur_banned | {eid}
         return None
 
-    def decide(self, k: int, stats: _Stats, jobs: int = 1,
+    def decide(self, k: int, stats: _Stats,
                fault0: frozenset[int] = frozenset(),
                banned0: frozenset[int] = frozenset()) -> Optional[frozenset[int]]:
         """Search for a qualifying set of size <= k that contains ``fault0``
-        and avoids ``banned0``.
-
-        Sibling subtrees of the root all run to completion (possibly in
-        parallel) and the first feasible result in child order wins, so the
-        outcome and the node counts do not depend on ``jobs``.
-        """
+        and avoids ``banned0``; the first one in DFS order, or None."""
         mates0 = maximum_matching_mates(self.g, fault0)
-        stats.nodes += 1
-        nu = sum(1 for x in mates0 if x != -1) // 2
-        if nu <= self.threshold:
-            if self._side_satisfied(fault0):
-                return fault0
-            stats.side_prunes += 1
-            return None
-        if len(fault0) >= k:
-            stats.budget_prunes += 1
-            return None
-        if not self._side_still_possible(fault0):
-            stats.side_prunes += 1
-            return None
-        children = []
-        cur_banned = banned0
-        for eid in self._matched_edge_ids(mates0):
-            if eid not in cur_banned:
-                children.append((fault0 | {eid}, cur_banned, eid))
-            cur_banned = cur_banned | {eid}
-
-        def run_child(child):
-            fault, banned, eid = child
-            child_stats = _Stats()
-            mates = self._mates_after(fault, mates0, eid)
-            return self._dfs(fault, banned, mates, k, child_stats), child_stats
-
-        if jobs > 1 and len(children) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run_child, children))
-        else:
-            outcomes = [run_child(child) for child in children]
-        witness = None
-        for result, child_stats in outcomes:
-            stats.merge(child_stats)
-            if witness is None and result is not None:
-                witness = result
-        return witness
+        return self._dfs(fault0, banned0, mates0, k, stats)
 
 
 def _lex_min_witness(search: _Search, k: int, known: frozenset[int],
@@ -344,7 +295,7 @@ def _lex_min_witness(search: _Search, k: int, known: frozenset[int],
         for e in range(start, guide):
             fault0 = frozenset(prefix) | {e}
             banned0 = frozenset(range(e)) - fault0
-            found = search.decide(k, stats, jobs=1, fault0=fault0, banned0=banned0)
+            found = search.decide(k, stats, fault0=fault0, banned0=banned0)
             if found is not None:
                 chosen = e
                 best = sorted(found)
@@ -360,9 +311,8 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     With a ``budget``, the search stops at that cardinality (decision mode):
     an infeasible answer then only asserts that no set of size <= budget
     exists. ``deterministic=True`` additionally pins the witness to the
-    lexicographically smallest optimum. ``jobs`` parallelizes sibling
-    subtrees; values, witnesses (in deterministic mode), and node counts are
-    all independent of it.
+    lexicographically smallest optimum. ``jobs`` is accepted and validated
+    (it must be >= 1) but has no effect: the search is single-threaded.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
@@ -388,7 +338,7 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     value = INFINITY
     for k in range(cap + 1):
         stats.rounds += 1
-        found = search.decide(k, stats, jobs=jobs)
+        found = search.decide(k, stats)
         if found is not None:
             witness = found
             value = k

@@ -222,3 +222,25 @@ def test_report_round_trips_through_json(capsys):
     assert code == 0
     report = RunReport.from_json(out)
     assert report.to_json() == out
+
+
+def test_solve_long_path_exits_0(tmp_path, capsys):
+    from preclusion import path as path_graph
+    source = tmp_path / "p3000.txt"
+    source.write_text(emit(path_graph(3000), "edge_list"))
+    code, out, _ = run_cli(capsys, "solve", str(source), "--mode", "mp")
+    assert code == 0
+    assert report_of(out)["result"]["value"] == 1
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    import preclusion.cli as cli
+
+    def broken(parser, args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "cmd_gen", broken)
+    code, out, err = run_cli(capsys, "gen", "hypercube", "3")
+    assert code == 4
+    assert out == ""
+    assert err.strip() == "internal error: RuntimeError: simulated fault"

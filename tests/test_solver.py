@@ -139,8 +139,8 @@ def test_solve_matches_oracle_on_random_graphs():
 
 
 def test_solve_matches_oracle_on_labelled_bipartite_graphs():
-    # bipartition present routes the solver through incremental
-    # augmenting-path re-matching instead of blossom recomputation
+    # a bipartition label must not change the answer: every graph takes the
+    # same incremental blossom re-matching
     from preclusion import find_bipartition, with_bipartition
     checked = 0
     for g in random_even_corpus(120, seed=408):
@@ -250,3 +250,66 @@ def test_ak_disconnected_is_infinite():
 def test_ak_k33():
     g = complete_bipartite(3, 3)
     assert solve(g, AK).value == brute_force_solve(g, AK).value
+
+
+def _check_incremental_rematch(g, dead, parent_mates, removed):
+    """Re-match after deleting the matched edge ``removed`` the way the
+    search does, and compare with two independent routes."""
+    from preclusion import brute_force_matching_number, delete_edges
+    from preclusion.matching import matching_number_excluding
+    from preclusion.solver import _Search
+    mates = _Search(g, MP)._mates_after(dead, parent_mates, removed)
+    for v, w in enumerate(mates):
+        if w != -1:
+            assert mates[w] == v
+            assert g.edge_id(v, w) not in dead
+    size = sum(1 for w in mates if w != -1) // 2
+    assert size == matching_number_excluding(g, dead)
+    assert size == brute_force_matching_number(delete_edges(g, EdgeSet(g, dead)), limit=g.m)
+    return mates
+
+
+def _matched_edges(g, mates):
+    return [g.edge_id(v, w) for v, w in enumerate(mates) if w > v]
+
+
+def test_incremental_rematching_is_exact():
+    # Deleting one edge ab of a maximum matching M: any augmenting path for
+    # M - ab ends at a or b, so augmenting from a, then b, is exact.
+    from preclusion import find_bipartition, petersen, random_graph, with_bipartition
+    from preclusion.matching import maximum_matching_mates
+    for g in (petersen(), cycle(7), complete_bipartite(4, 4), hypercube(4)):
+        mates = maximum_matching_mates(g)
+        for eid in _matched_edges(g, mates):
+            _check_incremental_rematch(g, frozenset({eid}), mates, eid)
+    import random as _random
+    rng = _random.Random(410)
+    tagged = 0
+    for _ in range(80):
+        n = rng.choice((5, 6, 7, 8, 9, 10))
+        g = random_graph(n, rng.randint(1, min(16, n * (n - 1) // 2)), seed=rng.randrange(2**32))
+        if find_bipartition(g) is not None:
+            g = with_bipartition(g)
+            tagged += 1
+        mates = maximum_matching_mates(g)
+        # two levels deep, so the dead set also holds an edge that the
+        # current matching no longer uses
+        for first in _matched_edges(g, mates):
+            dead = frozenset({first})
+            child = _check_incremental_rematch(g, dead, mates, first)
+            for second in _matched_edges(g, child):
+                _check_incremental_rematch(g, dead | {second}, child, second)
+    assert tagged >= 10
+
+
+def test_deep_alternating_path_has_finite_certificates():
+    # Re-matching after the first deletion walks an alternating path through
+    # all 3000 vertices; the search must not depend on the recursion limit.
+    from preclusion import path, with_bipartition
+    g = with_bipartition(path(3000))
+    cert = solve(g, MP)
+    assert cert.value == 1
+    assert is_matching_preclusion_set(g, cert.witness)
+    cert = solve(g, mp_s(1))
+    assert cert.value == 1
+    assert is_s_restricted_set(g, cert.witness, 1)
