@@ -19,14 +19,16 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import BudgetError, ParameterError, PreclusionError
-from .graphs import EdgeSet, Graph, components, hypercube, require_tagged
-from .matching import near_perfect_matching_masks
+from .graphs import EdgeSet, Graph, components, hypercube
 from .solver import (
+    AK,
     PreclusionCertificate,
     evidence_for,
     is_s_restricted_set,
     mp_s,
+    precluding_subsets,
     solve,
+    trivial_mp_set,
 )
 
 __all__ = [
@@ -70,11 +72,8 @@ def _check_two_path(g: Graph, p: TwoPath) -> None:
         raise ParameterError(f"{p} is not a 2-path of the graph")
 
 
-def incident_set(g: Graph, x: int) -> EdgeSet:
-    """I(x): every edge incident to vertex x."""
-    if not 0 <= x < g.n:
-        raise ParameterError(f"vertex {x} out of range for n={g.n}")
-    return EdgeSet(g, g.incident(x))
+# I(x): every edge incident to vertex x.
+incident_set = trivial_mp_set
 
 
 def incident_pair_set(g: Graph, edge_id: int) -> EdgeSet:
@@ -105,21 +104,22 @@ def compute_v_e(g: Graph) -> Optional[int]:
 
 
 def check_connected_after(g: Graph, f: EdgeSet) -> bool:
-    require_tagged(g, f)
-    return components(g, without=f.members).connected
+    return AK.side_holds(components(g, without=f))
 
 
 # ---------------------------------------------------------------------------
 # Optimal conditional preclusion sets (exhaustive structure check)
 # ---------------------------------------------------------------------------
 
-def _creates_isolated_vertex(g: Graph, fault: frozenset[int]) -> bool:
-    candidates = set()
+def _contains_vertex_star(g: Graph, fault: frozenset[int]) -> bool:
+    """Whether ``fault`` holds every edge at some vertex, i.e. deleting it
+    isolates that vertex."""
+    touched = set()
     for eid in fault:
         u, v = g.edges[eid]
-        candidates.add(u)
-        candidates.add(v)
-    return any(g.incident(v) <= fault for v in candidates)
+        touched.add(u)
+        touched.add(v)
+    return any(g.incident(v) <= fault for v in touched)
 
 
 def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
@@ -133,18 +133,12 @@ def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
         raise BudgetError(f"exhaustive enumeration supported for n in (3, 4), got {n}")
     g = hypercube(n)
     size = 2 * n - 2
-    masks = near_perfect_matching_masks(g)
     trivial_sets = {frozenset(trivial_conditional_set(g, p).members) for p in two_paths(g)}
     conditional = 0
     nontrivial: list[list[int]] = []
-    for combo in combinations(range(g.m), size):
-        fmask = 0
-        for e in combo:
-            fmask |= 1 << e
-        if not all(pm & fmask for pm in masks):
-            continue
+    for _, combo in precluding_subsets(g, (size,)):
         fault = frozenset(combo)
-        if _creates_isolated_vertex(g, fault):
+        if _contains_vertex_star(g, fault):
             continue
         conditional += 1
         if fault not in trivial_sets:
@@ -225,15 +219,6 @@ def star_plus_padding_counterexample(n: int) -> tuple[Graph, EdgeSet]:
 
 def _incident_pair_cuts(g: Graph) -> set[frozenset[int]]:
     return {frozenset(incident_pair_set(g, eid).members) for eid in range(g.m)}
-
-
-def _contains_vertex_star(g: Graph, fault: frozenset[int]) -> bool:
-    touched = set()
-    for eid in fault:
-        u, v = g.edges[eid]
-        touched.add(u)
-        touched.add(v)
-    return any(g.incident(v) <= fault for v in touched)
 
 
 def super_connectivity_report(n: int, samples: int = 100_000, seed: int = 0) -> dict:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .errors import OracleLimitError, ParameterError, PreconditionError, ReductionError
-from .graphs import EdgeSet, Graph, components, random_bipartite_with_pm, require_tagged, with_bipartition
-from .matching import has_perfect_matching, near_perfect_matching_masks
+from .graphs import EdgeSet, Graph, random_bipartite_with_pm, require_tagged, with_bipartition
+from .matching import has_perfect_matching
 from .solver import (
     AK,
     INFINITY,
@@ -27,6 +26,7 @@ from .solver import (
     ORACLE_EDGE_LIMIT,
     ProblemKind,
     brute_force_solve,
+    first_qualifying_subsets,
     is_matching_preclusion_set,
     is_s_restricted_set,
     mp_s,
@@ -177,41 +177,10 @@ class EquivalenceCheck:
     agree: bool
 
 
-def _oracle_values(g: Graph, kinds: Sequence[ProblemKind]) -> dict[str, float]:
-    """Exact values for several problem kinds from one subset sweep, using
-    only exhaustive near-perfect-matching enumeration (no optimized solver)."""
-    masks = near_perfect_matching_masks(g)
-    values: dict[str, float] = {}
-    pending = {kind.label(): kind for kind in kinds}
-    if not masks:
-        return {label: INFINITY for label in pending}
-    for size in range(g.m + 1):
-        if not pending:
-            break
-        for combo in combinations(range(g.m), size):
-            if not pending:
-                break
-            fmask = 0
-            for e in combo:
-                fmask |= 1 << e
-            if not all(pm & fmask for pm in masks):
-                continue
-            rep = None
-            for label, kind in list(pending.items()):
-                if kind.name == "mps":
-                    rep = rep or components(g, without=combo)
-                    ok = rep.min_size >= kind.s + 1
-                elif kind.name == "ak":
-                    rep = rep or components(g, without=combo)
-                    ok = rep.connected
-                else:
-                    ok = True
-                if ok:
-                    values[label] = size
-                    del pending[label]
-    for label in pending:
-        values[label] = INFINITY
-    return values
+def _gadget_values(r: ReductionInstance, kinds: Sequence[ProblemKind]) -> list[float]:
+    """Exact gadget values in the order of ``kinds``, from one oracle sweep."""
+    found = first_qualifying_subsets(r.gadget, kinds)
+    return [len(found[kind][1]) if kind in found else INFINITY for kind in kinds]
 
 
 def verify_equivalence(g: Graph, k: int, s: int = 1,
@@ -222,10 +191,10 @@ def verify_equivalence(g: Graph, k: int, s: int = 1,
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {source_limit}")
     r = build_reduction(g)
     mp_value = brute_force_solve(g, MP, limit=g.m).value
-    gadget_values = _oracle_values(r.gadget, [AK, mp_s(s)])
+    ak_value, mps_value = _gadget_values(r, [AK, mp_s(s)])
     left = mp_value <= k
-    right_ak = gadget_values["ak"] <= k + 1
-    right_mps = gadget_values[mp_s(s).label()] <= k + 1
+    right_ak = ak_value <= k + 1
+    right_mps = mps_value <= k + 1
     return EquivalenceCheck(left, right_ak, right_mps,
                             agree=(left == right_ak == right_mps))
 
@@ -247,13 +216,13 @@ def fuzz_equivalence(seed: int, count: int, s_values: Sequence[int] = (1, 2),
         g = random_bipartite_with_pm(t, prob, seed=rng.randrange(2**32))
         r = build_reduction(g)
         mp_value = brute_force_solve(g, MP, limit=g.m).value
-        gadget_values = _oracle_values(r.gadget, [AK] + [mp_s(s) for s in s_values])
+        ak_value, *mps_values = _gadget_values(r, [AK] + [mp_s(s) for s in s_values])
         for k in range(g.m + 1):
             left = mp_value <= k
-            right_ak = gadget_values["ak"] <= k + 1
-            for s in s_values:
+            right_ak = ak_value <= k + 1
+            for s, mps_value in zip(s_values, mps_values):
                 checks += 1
-                right_mps = gadget_values[mp_s(s).label()] <= k + 1
+                right_mps = mps_value <= k + 1
                 if not (left == right_ak == right_mps):
                     disagreements.append({
                         "index": index,

@@ -1,7 +1,8 @@
 """Exact optimizers for matching preclusion, s-restricted matching
 preclusion, and anti-Kekule numbers, with certificates.
 
-The optimizer runs iterative deepening over decision budgets k. Each search
+The optimizer runs iterative deepening over decision budgets k, and stops
+early once a round ends without the budget cutting any branch. Each search
 node holds a partial fault set F and a maximum matching M of g - F; while M
 is still near-perfect, any feasible superset of F must delete one of M's
 edges, so the node branches over them (in increasing edge index, banning
@@ -11,8 +12,9 @@ are antitone under deletion, so a branch dies as soon as one fails.
 
 ``brute_force_solve`` is the independent oracle: it enumerates edge subsets
 in increasing cardinality and tests each against an exhaustive list of the
-graph's near-perfect matchings, sharing no code path with the optimizer's
-matching search.
+graph's near-perfect matchings, never calling the optimizer's matching
+search. The gadget oracle and the hypercube lemma run the same sweep; only
+the side rule, ``ProblemKind.side_holds``, is shared with the optimizer.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
-from .graphs import EdgeSet, Graph, components, random_graph, require_tagged
+from .graphs import ComponentReport, EdgeSet, Graph, components, random_graph, require_tagged
 from .matching import (
     augment_from,
     matching_number,
@@ -48,6 +50,8 @@ __all__ = [
     "is_anti_kekule_set",
     "trivial_mp_set",
     "solve",
+    "precluding_subsets",
+    "first_qualifying_subsets",
     "brute_force_solve",
     "chain_suite",
 ]
@@ -87,6 +91,22 @@ class ProblemKind:
         if self.name == "mps":
             return f"{self.s}-restricted matching preclusion"
         return "anti-Kekule"
+
+    @property
+    def has_side_condition(self) -> bool:
+        """False for ``mp`` and ``mp_s(0)``: no components needed."""
+        return self.name == "ak" or self.s > 0
+
+    def side_holds(self, rep: ComponentReport) -> bool:
+        """The side rule over the components of g - F: ``mps`` needs every
+        component to keep at least s + 1 vertices, ``ak`` needs g - F to be
+        connected, ``mp`` needs nothing. Both rules are antitone under
+        further deletion."""
+        if self.name == "mps":
+            return rep.min_size >= self.s + 1
+        if self.name == "ak":
+            return rep.connected
+        return True
 
 
 MP = ProblemKind("mp")
@@ -142,12 +162,11 @@ def is_matching_preclusion_set(g: Graph, f: EdgeSet) -> bool:
 def is_s_restricted_set(g: Graph, f: EdgeSet, s: int) -> bool:
     """Matching preclusion with the extra demand that every component of
     g - f keeps at least s + 1 vertices."""
-    if s < 0:
-        raise ParameterError(f"restriction level must be >= 0, got {s}")
+    kind = mp_s(s)
     require_tagged(g, f)
     if matching_number_excluding(g, f.members) > g.n // 2 - 1:
         return False
-    return components(g, without=f.members).min_size >= s + 1
+    return kind.side_holds(components(g, without=f.members))
 
 
 def is_anti_kekule_set(g: Graph, f: EdgeSet) -> bool:
@@ -156,7 +175,7 @@ def is_anti_kekule_set(g: Graph, f: EdgeSet) -> bool:
     require_tagged(g, f)
     if g.n % 2 == 1:
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
-    if not components(g, without=f.members).connected:
+    if not AK.side_holds(components(g, without=f.members)):
         return False
     return matching_number_excluding(g, f.members) <= g.n // 2 - 1
 
@@ -169,10 +188,26 @@ def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
     return EdgeSet(g, g.incident(v))
 
 
-def _no_near_perfect_reason(g: Graph) -> Optional[str]:
+def _infinity_without_search(g: Graph, kind: ProblemKind,
+                             stats: Optional[dict] = None) -> Optional[PreclusionCertificate]:
+    """INFINITY when g has no near-perfect matching, or is disconnected for ak."""
     if matching_number(g) < g.n // 2:
-        return "graph has neither a perfect nor an almost perfect matching"
-    return None
+        reason = "graph has neither a perfect nor an almost perfect matching"
+    elif kind == AK and not kind.side_holds(components(g)):
+        reason = "graph is disconnected; edge deletion cannot restore connectivity"
+    else:
+        return None
+    return PreclusionCertificate(kind, INFINITY, None, None, reason=reason, stats=stats)
+
+
+def _none_within(g: Graph, kind: ProblemKind, cap: Optional[int],
+                 stats: dict) -> PreclusionCertificate:
+    """INFINITY after a search found no set of size <= ``cap`` (None: any)."""
+    if cap is not None and cap < g.m:
+        reason = f"no {kind.describe()} set of size at most {cap} exists"
+    else:
+        reason = f"no {kind.describe()} set exists"
+    return PreclusionCertificate(kind, INFINITY, None, None, reason=reason, stats=stats)
 
 
 def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
@@ -210,6 +245,7 @@ class _Search:
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
         self.kind = kind
+        self.has_side = kind.has_side_condition
         self.threshold = g.n // 2 - 1
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
@@ -225,22 +261,6 @@ class _Search:
             augment_from(self.g, dead, mates, b)
         return mates
 
-    def _side_satisfied(self, dead: frozenset[int]) -> bool:
-        if self.kind.name == "mps":
-            return components(self.g, without=dead).min_size >= self.kind.s + 1
-        if self.kind.name == "ak":
-            return components(self.g, without=dead).connected
-        return True
-
-    def _side_still_possible(self, dead: frozenset[int]) -> bool:
-        # Both side conditions are antitone under further deletion, so a
-        # violation at an internal node kills the whole branch.
-        if self.kind.name == "mps" and self.kind.s >= 1:
-            return components(self.g, without=dead).min_size >= self.kind.s + 1
-        if self.kind.name == "ak":
-            return components(self.g, without=dead).connected
-        return True
-
     def _matched_edge_ids(self, mates: list[int]) -> list[int]:
         g = self.g
         return sorted(g.edge_id(v, mates[v]) for v in range(g.n) if mates[v] > v)
@@ -248,18 +268,17 @@ class _Search:
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
              k: int, stats: _Stats) -> Optional[frozenset[int]]:
         stats.nodes += 1
-        nu = sum(1 for x in mates if x != -1) // 2
-        if nu <= self.threshold:
-            if self._side_satisfied(fault):
-                return fault
-            stats.side_prunes += 1
-            return None
-        if len(fault) >= k:
+        leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
+        if not leaf and len(fault) >= k:
             stats.budget_prunes += 1
             return None
-        if not self._side_still_possible(fault):
+        # The side rule is antitone under further deletion, so a violation
+        # at an internal node kills the whole branch.
+        if self.has_side and not self.kind.side_holds(components(self.g, without=fault)):
             stats.side_prunes += 1
             return None
+        if leaf:
+            return fault
         cur_banned = banned
         for eid in self._matched_edge_ids(mates):
             if eid not in cur_banned:
@@ -322,38 +341,27 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
 
     stats = _Stats()
-    reason = _no_near_perfect_reason(g)
-    if reason is not None:
-        return PreclusionCertificate(kind, INFINITY, None, None, reason=reason,
-                                     stats=stats.as_dict())
-    if kind.name == "ak" and not components(g).connected:
-        return PreclusionCertificate(
-            kind, INFINITY, None, None,
-            reason="graph is disconnected; edge deletion cannot restore connectivity",
-            stats=stats.as_dict())
+    trivial = _infinity_without_search(g, kind, stats.as_dict())
+    if trivial is not None:
+        return trivial
 
     search = _Search(g, kind)
     cap = g.m if budget is None else min(budget, g.m)
     witness = None
-    value = INFINITY
     for k in range(cap + 1):
         stats.rounds += 1
-        found = search.decide(k, stats)
-        if found is not None:
-            witness = found
-            value = k
+        budget_prunes = stats.budget_prunes
+        witness = search.decide(k, stats)
+        # A round the budget never cut refuted the whole tree, and every
+        # larger k would search that same tree again.
+        if witness is not None or stats.budget_prunes == budget_prunes:
             break
     if witness is None:
-        if budget is not None and budget < g.m:
-            reason = f"no {kind.describe()} set of size at most {budget} exists"
-        else:
-            reason = f"no {kind.describe()} set exists"
-        return PreclusionCertificate(kind, INFINITY, None, None, reason=reason,
-                                     stats=stats.as_dict())
+        return _none_within(g, kind, budget, stats.as_dict())
     if deterministic:
-        witness = _lex_min_witness(search, int(value), witness, stats)
+        witness = _lex_min_witness(search, len(witness), witness, stats)
     edge_set = EdgeSet(g, witness)
-    return PreclusionCertificate(kind, value, edge_set, evidence_for(g, edge_set),
+    return PreclusionCertificate(kind, len(witness), edge_set, evidence_for(g, edge_set),
                                  stats=stats.as_dict())
 
 
@@ -361,12 +369,47 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _side_conditions_hold(g: Graph, kind: ProblemKind, fault: tuple[int, ...]) -> bool:
-    if kind.name == "mps":
-        return components(g, without=fault).min_size >= kind.s + 1
-    if kind.name == "ak":
-        return components(g, without=fault).connected
-    return True
+def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(checked, combo)`` for every edge subset whose deletion hits each
+    mask of ``near_perfect_matching_masks``, size by size in ``sizes`` and
+    lexicographically within a size; ``checked`` counts the subsets tested
+    so far. A graph with no near-perfect matching yields nothing."""
+    masks = near_perfect_matching_masks(g)
+    if not masks:
+        return
+    checked = 0
+    for size in sizes:
+        for combo in combinations(range(g.m), size):
+            checked += 1
+            fmask = 0
+            for e in combo:
+                fmask |= 1 << e
+            if all(pm & fmask for pm in masks):
+                yield checked, combo
+
+
+def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind],
+                             max_size: Optional[int] = None
+                             ) -> dict[ProblemKind, tuple[int, tuple[int, ...]]]:
+    """One sweep over the sizes 0..max_size mapping each kind to its first
+    qualifying ``(checked, combo)``, the lex-min optimum; a kind with none
+    is left out. The pending kinds share one ``components`` report."""
+    pending = list(dict.fromkeys(kinds))
+    found: dict[ProblemKind, tuple[int, tuple[int, ...]]] = {}
+    cap = g.m if max_size is None else min(max_size, g.m)
+    for checked, combo in precluding_subsets(g, range(cap + 1)):
+        rep = None
+        for kind in list(pending):
+            if kind.has_side_condition:
+                if rep is None:
+                    rep = components(g, without=combo)
+                if not kind.side_holds(rep):
+                    continue
+            found[kind] = (checked, combo)
+            pending.remove(kind)
+        if not pending:
+            break
+    return found
 
 
 def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMIT,
@@ -381,35 +424,19 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
+    trivial = _infinity_without_search(g, kind)
+    if trivial is not None:
+        return trivial
 
-    reason = _no_near_perfect_reason(g)
-    if reason is not None:
-        return PreclusionCertificate(kind, INFINITY, None, None, reason=reason)
-    if kind.name == "ak" and not components(g).connected:
-        return PreclusionCertificate(
-            kind, INFINITY, None, None,
-            reason="graph is disconnected; edge deletion cannot restore connectivity")
-
-    masks = near_perfect_matching_masks(g)
-    m = g.m
-    cap = m if max_size is None else min(max_size, m)
-    checked = 0
-    for size in range(cap + 1):
-        for combo in combinations(range(m), size):
-            checked += 1
-            fmask = 0
-            for e in combo:
-                fmask |= 1 << e
-            if all(pm & fmask for pm in masks) and _side_conditions_hold(g, kind, combo):
-                edge_set = EdgeSet(g, combo)
-                return PreclusionCertificate(
-                    kind, size, edge_set, evidence_for(g, edge_set),
-                    stats={"subsets_checked": checked})
-    if max_size is not None and max_size < m:
-        reason = f"no {kind.describe()} set of size at most {max_size} exists"
-    else:
-        reason = f"no {kind.describe()} set exists"
-    return PreclusionCertificate(kind, INFINITY, None, None, reason=reason,
+    cap = g.m if max_size is None else min(max_size, g.m)
+    hit = first_qualifying_subsets(g, [kind], cap).get(kind)
+    if hit is None:
+        # g has a near-perfect matching, so the sweep tested every subset
+        checked = sum(math.comb(g.m, size) for size in range(cap + 1))
+        return _none_within(g, kind, max_size, {"subsets_checked": checked})
+    checked, combo = hit
+    edge_set = EdgeSet(g, combo)
+    return PreclusionCertificate(kind, len(combo), edge_set, evidence_for(g, edge_set),
                                  stats={"subsets_checked": checked})
 
 

@@ -70,6 +70,20 @@ def test_solve_mp_q3(tmp_path, capsys):
     validate_schema(report)
 
 
+def test_schema_gives_stats_a_shape(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    path = tmp_path / "q3.txt"
+    path.write_text(emit(hypercube(3), "edge_list"))
+    _, out, _ = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    report = report_of(out)
+    assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "deepening_rounds"}
+    validate_schema(report)
+    for broken in ({"nodes": 1}, dict(report["stats"], nodes=-1),
+                   dict(report["stats"], side_prunes="0"), []):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_schema(dict(report, stats=broken))
+
+
 def test_solve_reads_graph6_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(emit(hypercube(3), "graph6")))

@@ -5,9 +5,11 @@ import pytest
 
 from preclusion import (
     AK,
+    INFINITY,
     EdgeSet,
     Graph,
     MP,
+    ORACLE_EDGE_LIMIT,
     OracleLimitError,
     ParameterError,
     PreconditionError,
@@ -24,6 +26,7 @@ from preclusion import (
 )
 from preclusion import random_bipartite_with_pm
 from preclusion.reduction import build_reduction
+from preclusion.solver import first_qualifying_subsets, precluding_subsets
 from conftest import random_even_corpus
 
 
@@ -313,3 +316,115 @@ def test_deep_alternating_path_has_finite_certificates():
     cert = solve(g, mp_s(1))
     assert cert.value == 1
     assert is_s_restricted_set(g, cert.witness, 1)
+
+
+def test_deepening_stops_once_the_budget_never_cuts():
+    # Every deletion disconnects a path, so round 1 refutes the whole tree
+    # without a budget prune; deepening on to k = m would only repeat it.
+    from preclusion import path
+    cert = solve(path(200), AK)
+    assert cert.value == INFINITY
+    assert cert.reason == "no anti-Kekule set exists"
+    assert cert.stats["deepening_rounds"] <= 2
+
+
+KINDS = [MP, mp_s(0), mp_s(1), mp_s(2), AK]
+
+
+def _sweep_corpus():
+    """Gadgets of seeded planted-matching sources plus seeded even-order
+    random graphs, all within the oracle edge limit."""
+    import random as _random
+    rng = _random.Random(411)
+    graphs = []
+    while len(graphs) < 12:
+        t = rng.randint(1, 3)
+        g = random_bipartite_with_pm(t, rng.choice((0.0, 0.3, 0.6)), seed=rng.randrange(2**32))
+        gadget = build_reduction(g).gadget
+        if gadget.m <= ORACLE_EDGE_LIMIT:
+            graphs.append(gadget)
+    return graphs + random_even_corpus(30, seed=412)
+
+
+def test_multi_kind_sweep_equals_single_kind_sweeps():
+    # the kinds share one components report per precluding subset; each
+    # must still get exactly what a sweep of its own finds
+    for g in _sweep_corpus():
+        found = first_qualifying_subsets(g, KINDS)
+        for kind in KINDS:
+            single = brute_force_solve(g, kind)
+            if kind not in found:
+                assert single.value == INFINITY, (g.edges, kind)
+                continue
+            checked, combo = found[kind]
+            assert single.value == len(combo), (g.edges, kind)
+            assert sorted(single.witness.members) == list(combo)
+            assert single.stats["subsets_checked"] == checked
+
+
+def _components_from_scratch(g, dead):
+    """(smallest component size, connected) of g - dead by union-find."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for eid, (u, v) in enumerate(g.edges):
+        if eid not in dead:
+            parent[root(u)] = root(v)
+    sizes = {}
+    for v in range(g.n):
+        sizes[root(v)] = sizes.get(root(v), 0) + 1
+    return min(sizes.values(), default=0), len(sizes) <= 1
+
+
+def test_side_rule_predicate_matches_components_from_scratch():
+    import random as _random
+    from preclusion import components, random_graph
+    rng = _random.Random(413)
+    kinds = [MP, AK] + [mp_s(s) for s in range(4)]
+    precluding = 0
+    for _ in range(150):
+        n = rng.choice((4, 5, 6, 8, 10))
+        g = random_graph(n, rng.randint(0, min(20, n * (n - 1) // 2)), seed=rng.randrange(2**32))
+        for _ in range(6):
+            dead = frozenset(rng.sample(range(g.m), rng.randint(0, g.m)))
+            rep = components(g, without=dead)
+            min_size, connected = _components_from_scratch(g, dead)
+            for kind in kinds:
+                expect = {"mp": True, "mps": min_size >= kind.s + 1, "ak": connected}[kind.name]
+                assert kind.side_holds(rep) == expect
+                if not kind.has_side_condition:
+                    assert expect
+            f = EdgeSet(g, dead)
+            if not is_matching_preclusion_set(g, f):
+                continue
+            precluding += 1
+            for s in range(4):
+                assert is_s_restricted_set(g, f, s) == mp_s(s).side_holds(rep)
+            if n % 2 == 0:
+                assert is_anti_kekule_set(g, f) == AK.side_holds(rep)
+    assert precluding >= 100
+
+
+def test_oracle_sweep_never_calls_the_matching_search(monkeypatch):
+    from preclusion import matching, petersen, solver
+    graphs = [petersen(), complete_bipartite(4, 4), build_reduction(cycle(4)).gadget]
+    kinds = [MP, mp_s(1), mp_s(2), AK]
+    expected = [(list(precluding_subsets(g, range(4))), first_qualifying_subsets(g, kinds))
+                for g in graphs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle sweep called the optimizer's matching search")
+
+    for module in (matching, solver):
+        monkeypatch.setattr(module, "augment_from", forbidden)
+        monkeypatch.setattr(module, "maximum_matching_mates", forbidden)
+    with pytest.raises(AssertionError):
+        solve(petersen(), MP)  # the patch does reach the optimizer
+    for g, (subsets, firsts) in zip(graphs, expected):
+        assert list(precluding_subsets(g, range(4))) == subsets
+        assert first_qualifying_subsets(g, kinds) == firsts
