@@ -45,6 +45,6 @@ print(f"\ntrivial conditional sets always leave the cube connected:"
       f" {check_connected_after(q3, tcs)}")
 
 print("\nrestricted preclusion value of the n-cube:")
-for n, s in ((3, 2), (4, 2), (6, 2)):
+for n, s in ((3, 2), (4, 2), (5, 2), (6, 2)):
     cert = verify_mps_hypercube(n, s)
     print(f"  mp_{s}(Q{n}) = {cert.value}; {cert.note}")

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import __version__
-from .errors import PreclusionError
+from .errors import ParseError, PreclusionError
 from .formats import detect_format, emit, parse
 from .graphs import Graph, generate, hypercube, with_bipartition
 from .cubes import (
@@ -60,11 +60,14 @@ class RunReport:
 
 
 def _read_graph(path: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("graph input must be ASCII text", exc.start) from exc
     g = parse(detect_format(text), text)
     return with_bipartition(g)
 

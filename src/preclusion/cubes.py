@@ -168,8 +168,8 @@ def verify_mps_hypercube(n: int, s: int, jobs: int = 1) -> PreclusionCertificate
 
     The upper bound is always verified by constructing a trivial conditional
     set and checking the predicate. The matching lower bound is established
-    exhaustively (budgeted branch-and-bound) for n in {3, 4}; for larger n
-    it is cited, and the certificate's note says so.
+    exhaustively (budgeted branch-and-bound) for n in {3, 4, 5}; for larger
+    n it is cited, and the certificate's note says so.
     """
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
@@ -182,7 +182,7 @@ def verify_mps_hypercube(n: int, s: int, jobs: int = 1) -> PreclusionCertificate
     if not is_s_restricted_set(g, witness, s):
         raise PreclusionError(
             f"trivial conditional set failed the {s}-restricted predicate on Q_{n}")
-    if n <= 4:
+    if n <= 5:
         lower = solve(g, mp_s(s), budget=value - 1, jobs=jobs)
         if lower.feasible:
             raise PreclusionError(

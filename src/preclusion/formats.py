@@ -12,7 +12,7 @@ import json
 import re
 
 from .errors import ParameterError, ParseError
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 __all__ = [
     "parse",
@@ -27,12 +27,10 @@ __all__ = [
 ]
 
 _GRAPH6_HEADER = ">>graph6<<"
-_MAX_GRAPH6_N = 258047  # largest order the 1- and 4-byte size prefixes cover
 
 
 def emit_graph6(g: Graph) -> str:
-    if g.n > _MAX_GRAPH6_N:
-        raise ParameterError(f"graph6 supports at most {_MAX_GRAPH6_N} vertices")
+    # The 1- and 4-byte size prefixes cover every order up to MAX_VERTICES.
     out = []
     if g.n <= 62:
         out.append(chr(g.n + 63))
@@ -77,7 +75,7 @@ def parse_graph6(text: str) -> Graph:
         if len(vals) < 4:
             raise ParseError("truncated graph6 size prefix", base + len(s))
         if vals[1] == 63:
-            raise ParseError("graph6 sizes above 258047 are not supported", base + 1)
+            raise ParseError(f"graph6 sizes above {MAX_VERTICES} are not supported", base + 1)
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         body = vals[4:]
         body_base = base + 4
@@ -161,6 +159,8 @@ def parse_json(text: str) -> Graph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply", 0) from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ParseError("JSON graph needs 'n' and 'edges' keys", 0)
     try:

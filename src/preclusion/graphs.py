@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import ParameterError, TagMismatchError
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "EdgeSet",
     "ComponentReport",
@@ -34,6 +35,11 @@ __all__ = [
     "components",
     "find_bipartition",
 ]
+
+# The largest order graph6 can encode. Checked before any allocation, so an
+# input header that declares a huge vertex count fails as a parameter error
+# instead of exhausting memory.
+MAX_VERTICES = 258_047
 
 
 class Graph:
@@ -54,6 +60,8 @@ class Graph:
     ):
         if n < 0:
             raise ParameterError(f"vertex count must be nonnegative, got {n}")
+        if n > MAX_VERTICES:
+            raise ParameterError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         self.n = n
         pair_to_id: dict[tuple[int, int], int] = {}
         normalized: list[tuple[int, int]] = []
@@ -204,11 +212,13 @@ def require_tagged(graph: Graph, edge_set: EdgeSet) -> None:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Connected components of a graph: the partition plus summary flags."""
+    """Connected components of a graph on ``n`` vertices: the partition plus
+    summary flags."""
 
     components: tuple[frozenset[int], ...]
     min_size: int
     connected: bool
+    n: int
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +383,7 @@ def components(g: Graph, without: Optional[Iterable[int]] = None) -> ComponentRe
                     queue.append(w)
         comps.append(frozenset(comp))
     min_size = min((len(c) for c in comps), default=0)
-    return ComponentReport(tuple(comps), min_size, len(comps) <= 1)
+    return ComponentReport(tuple(comps), min_size, len(comps) <= 1, g.n)
 
 
 def find_bipartition(g: Graph) -> Optional[tuple[int, ...]]:

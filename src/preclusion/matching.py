@@ -4,16 +4,17 @@ One matching engine serves every graph, bipartite or not: an iterative
 Edmonds blossom search from a single free vertex (:func:`augment_from`), in
 the array-based O(V^3) style: simple enough to audit, fast enough for
 desk-scale instances. A maximum matching is a greedy start plus one such
-search per free vertex; the solver re-matches incrementally with the same
-call after each edge deletion. A subset-enumeration oracle and an exhaustive
-near-perfect-matching enumerator provide independent cross-checks.
+search per free vertex (:func:`maximize`); the solver re-matches
+incrementally with the same call after each edge deletion. A
+subset-enumeration oracle and an exhaustive near-perfect-matching
+enumerator provide independent cross-checks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable
+from typing import Container, FrozenSet, Iterable
 
 from .errors import OracleLimitError, ParameterError
 from .graphs import EdgeSet, Graph
@@ -59,7 +60,7 @@ def matching_from_edge_ids(g: Graph, edge_ids: Iterable[int]) -> Matching:
 # Edmonds blossom search (all graphs)
 # ---------------------------------------------------------------------------
 
-def augment_from(g: Graph, dead: frozenset[int], mate: list[int], root: int) -> bool:
+def augment_from(g: Graph, dead: Container[int], mate: list[int], root: int) -> bool:
     """Grow the matching ``mate`` of ``g`` minus the ``dead`` edges by one
     augmenting path from the free vertex ``root``, in place.
 
@@ -131,14 +132,16 @@ def augment_from(g: Graph, dead: frozenset[int], mate: list[int], root: int) -> 
 # Public surface
 # ---------------------------------------------------------------------------
 
-def maximum_matching_mates(g: Graph, dead: frozenset[int] = frozenset()) -> list[int]:
-    """Mate array of a maximum matching of ``g`` minus the ``dead`` edges:
-    a greedy start (lowest neighbor first), then one :func:`augment_from`
-    per vertex still free. A vertex with no augmenting path never gains one
-    later, so a single pass suffices."""
+def maximize(g: Graph, dead: Container[int], mate: list[int], misses_allowed: int) -> bool:
+    """Grow the matching ``mate`` of ``g`` minus the ``dead`` edges, in
+    place, to a maximum one: a greedy pass over the free vertices (lowest
+    neighbor first), then one :func:`augment_from` per vertex still free. A
+    vertex with no augmenting path never gains one later, so a single pass
+    suffices, and every such vertex stays free. Stop and return False once
+    more than ``misses_allowed`` vertices are found without an augmenting
+    path; otherwise return True."""
     n = g.n
     adj = g.adj
-    mate = [-1] * n
     for u in range(n):
         if mate[u] == -1:
             for w, eid in adj[u]:
@@ -146,9 +149,19 @@ def maximum_matching_mates(g: Graph, dead: frozenset[int] = frozenset()) -> list
                     mate[u] = w
                     mate[w] = u
                     break
+    misses = 0
     for v in range(n):
-        if mate[v] == -1:
-            augment_from(g, dead, mate, v)
+        if mate[v] == -1 and not augment_from(g, dead, mate, v):
+            misses += 1
+            if misses > misses_allowed:
+                return False
+    return True
+
+
+def maximum_matching_mates(g: Graph, dead: frozenset[int] = frozenset()) -> list[int]:
+    """Mate array of a maximum matching of ``g`` minus the ``dead`` edges."""
+    mate = [-1] * g.n
+    maximize(g, dead, mate, misses_allowed=g.n)
     return mate
 
 

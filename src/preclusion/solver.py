@@ -2,13 +2,31 @@
 preclusion, and anti-Kekule numbers, with certificates.
 
 The optimizer runs iterative deepening over decision budgets k, and stops
-early once a round ends without the budget cutting any branch. Each search
-node holds a partial fault set F and a maximum matching M of g - F; while M
-is still near-perfect, any feasible superset of F must delete one of M's
-edges, so the node branches over them (in increasing edge index, banning
-earlier siblings so no subset is visited twice). Side conditions - minimum
-component size for the s-restricted problem, connectivity for anti-Kekule -
-are antitone under deletion, so a branch dies as soon as one fails.
+early once a round ends without the budget or the packing bound (below)
+cutting any branch. Each search node holds a partial fault set F and a
+maximum matching M of g - F; while M is still near-perfect, any feasible
+superset of F must delete one of M's edges, so the node branches over them
+(in increasing edge index, banning earlier siblings so no subset is visited
+twice). Side conditions - minimum component size for the s-restricted
+problem, connectivity for anti-Kekule - are one component floor
+(``ProblemKind.component_floor``) and antitone under deletion, so a branch
+dies as soon as one fails. The root takes a full component report; below it
+only the edge ab just deleted can split a component, so a search from a,
+then from b, capped at the floor or stopped on meeting the other endpoint,
+decides the rule.
+
+Every fault set below a node (fault set F, banned set B, room r = k - |F|)
+is F + S with S avoiding B and |S| <= r. A greedy packing bound refutes
+nodes without enumerating them: starting from the node's matching M_1, each
+M_(i+1) is a near-perfect matching of g - F - (U_1 + ... + U_i), where
+U_i = M_i - B is the part of M_i that S may still delete, grown from M_i by
+augmenting paths. S must hit each M_i inside its own U_i, and the U_i are
+disjoint, so more than r matchings refute the node at this k, and a matching
+with an empty U_i refutes it at every k (the dimension-matching argument
+behind mp(Q_n) = n; Brigham, Harary, Violin and Yellen, "Perfect-matching
+preclusion", 2005). Only refuted subtrees are cut, so DFS order, values and
+witnesses are those of the plain enumeration; ``stats["bound_prunes"]``
+counts the k-dependent cuts, which keep deepening going like budget prunes.
 
 ``brute_force_solve`` is the independent oracle: it enumerates edge subsets
 in increasing cardinality and tests each against an exhaustive list of the
@@ -31,6 +49,7 @@ from .matching import (
     augment_from,
     matching_number,
     matching_number_excluding,
+    maximize,
     maximum_matching_mates,
     near_perfect_matching_masks,
 )
@@ -97,16 +116,20 @@ class ProblemKind:
         """False for ``mp`` and ``mp_s(0)``: no components needed."""
         return self.name == "ak" or self.s > 0
 
-    def side_holds(self, rep: ComponentReport) -> bool:
-        """The side rule over the components of g - F: ``mps`` needs every
-        component to keep at least s + 1 vertices, ``ak`` needs g - F to be
-        connected, ``mp`` needs nothing. Both rules are antitone under
+    def component_floor(self, n: int) -> int:
+        """The side rule on an ``n``-vertex graph: the fewest vertices every
+        component of g - F must keep. ``mps`` needs s + 1, ``ak`` needs n
+        (g - F connected), ``mp`` needs nothing. The rule is antitone under
         further deletion."""
         if self.name == "mps":
-            return rep.min_size >= self.s + 1
+            return self.s + 1
         if self.name == "ak":
-            return rep.connected
-        return True
+            return n
+        return 0
+
+    def side_holds(self, rep: ComponentReport) -> bool:
+        """Whether the components of g - F meet :meth:`component_floor`."""
+        return rep.min_size >= self.component_floor(rep.n)
 
 
 MP = ProblemKind("mp")
@@ -224,12 +247,13 @@ def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
 # ---------------------------------------------------------------------------
 
 class _Stats:
-    __slots__ = ("nodes", "budget_prunes", "side_prunes", "rounds")
+    __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "rounds")
 
     def __init__(self):
         self.nodes = 0
         self.budget_prunes = 0
         self.side_prunes = 0
+        self.bound_prunes = 0
         self.rounds = 0
 
     def as_dict(self) -> dict:
@@ -237,6 +261,7 @@ class _Stats:
             "nodes": self.nodes,
             "budget_prunes": self.budget_prunes,
             "side_prunes": self.side_prunes,
+            "bound_prunes": self.bound_prunes,
             "deepening_rounds": self.rounds,
         }
 
@@ -246,6 +271,8 @@ class _Search:
         self.g = g
         self.kind = kind
         self.has_side = kind.has_side_condition
+        self.floor = kind.component_floor(g.n)
+        self.edge_to = [dict(nbrs) for nbrs in g.adj]
         self.threshold = g.n // 2 - 1
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
@@ -253,38 +280,97 @@ class _Search:
         # loses at most one unit of nu. Any augmenting path for M - ab in
         # g - dead must end at a or b (one avoiding both would already
         # augment M), so one Edmonds search from a, then from b, restores
-        # maximality.
+        # maximality. When M was perfect, a and b are the only free
+        # vertices, and a path from b would end at a.
         mates = parent_mates.copy()
         a, b = self.g.edges[removed]
         mates[a] = mates[b] = -1
-        if not augment_from(self.g, dead, mates, a):
+        if not augment_from(self.g, dead, mates, a) and -1 in parent_mates:
             augment_from(self.g, dead, mates, b)
         return mates
 
     def _matched_edge_ids(self, mates: list[int]) -> list[int]:
+        edge_to = self.edge_to
+        return sorted(edge_to[v][w] for v, w in enumerate(mates) if w > v)
+
+    def _side_holds(self, dead: frozenset[int], removed: Optional[int]) -> bool:
+        """Whether g - dead meets the component floor. At the root
+        (``removed`` None) this takes a full report. Below it, g - (dead -
+        ab) met the floor, where ab is the edge ``removed``, and deleting ab
+        can only split the component of a and b: a search from a, then from
+        b, that meets the other endpoint or collects ``floor`` vertices
+        settles it."""
+        if removed is None:
+            return self.kind.side_holds(components(self.g, without=dead))
+        adj = self.g.adj
+        floor = self.floor
+        ends = self.g.edges[removed]
+        for src, dst in (ends, ends[::-1]):
+            seen = {src}
+            stack = [src]
+            while stack and len(seen) < floor:
+                for w, eid in adj[stack.pop()]:
+                    if w not in seen and eid not in dead:
+                        if w == dst:
+                            return True
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) < floor:
+                return False
+        return True
+
+    def _packing_refutes(self, fault: frozenset[int], banned: frozenset[int],
+                         mates: list[int], room: int, stats: _Stats) -> bool:
+        """Whether greedily packed near-perfect matchings M_1, M_2, ...
+        with disjoint unbanned parts U_i prove that no qualifying set F + S,
+        S avoiding ``banned`` with |S| <= ``room``, lies below this node
+        (see the module docstring). Only a refutation by more than ``room``
+        matchings depends on k, so only that one counts as a bound prune."""
         g = self.g
-        return sorted(g.edge_id(v, mates[v]) for v in range(g.n) if mates[v] > v)
+        edge_to = self.edge_to
+        dead = set(fault)
+        mates = mates.copy()
+        packed = 0
+        while True:
+            freed = []
+            for v, w in enumerate(mates):
+                if w > v and edge_to[v][w] not in banned:
+                    dead.add(edge_to[v][w])
+                    freed += (v, w)
+            if not freed:
+                return True
+            packed += 1
+            if packed > room:
+                stats.bound_prunes += 1
+                return True
+            for v in freed:
+                mates[v] = -1
+            if not maximize(g, dead, mates, misses_allowed=g.n % 2):
+                return False
 
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
-             k: int, stats: _Stats) -> Optional[frozenset[int]]:
+             k: int, stats: _Stats, removed: Optional[int] = None) -> Optional[frozenset[int]]:
         stats.nodes += 1
         leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
         if not leaf and len(fault) >= k:
             stats.budget_prunes += 1
             return None
         # The side rule is antitone under further deletion, so a violation
-        # at an internal node kills the whole branch.
-        if self.has_side and not self.kind.side_holds(components(self.g, without=fault)):
+        # at an internal node kills the whole branch. Below the root only
+        # the edge just deleted needs checking.
+        if self.has_side and not self._side_holds(fault, removed):
             stats.side_prunes += 1
             return None
         if leaf:
             return fault
+        if self._packing_refutes(fault, banned, mates, k - len(fault), stats):
+            return None
         cur_banned = banned
         for eid in self._matched_edge_ids(mates):
             if eid not in cur_banned:
                 child_fault = fault | {eid}
                 child_mates = self._mates_after(child_fault, mates, eid)
-                result = self._dfs(child_fault, cur_banned, child_mates, k, stats)
+                result = self._dfs(child_fault, cur_banned, child_mates, k, stats, eid)
                 if result is not None:
                     return result
             cur_banned = cur_banned | {eid}
@@ -350,11 +436,12 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     witness = None
     for k in range(cap + 1):
         stats.rounds += 1
-        budget_prunes = stats.budget_prunes
+        cuts = stats.budget_prunes + stats.bound_prunes
         witness = search.decide(k, stats)
-        # A round the budget never cut refuted the whole tree, and every
-        # larger k would search that same tree again.
-        if witness is not None or stats.budget_prunes == budget_prunes:
+        # A round that neither the budget nor the k-dependent packing bound
+        # cut refuted the whole tree, and every larger k would search that
+        # same tree again.
+        if witness is not None or stats.budget_prunes + stats.bound_prunes == cuts:
             break
     if witness is None:
         return _none_within(g, kind, budget, stats.as_dict())

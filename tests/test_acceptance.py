@@ -83,13 +83,13 @@ def test_criterion_2_conditional_preclusion_of_hypercubes():
 
 def test_criterion_3_restricted_preclusion_of_hypercubes():
     exact_ok = True
-    for n, s in ((3, 2), (3, 3), (4, 2)):
+    for n, s in ((3, 2), (3, 3), (4, 2), (5, 2)):
         cert = verify_mps_hypercube(n, s)  # budgeted lower bound + construction
         direct = solve(hypercube(n), mp_s(s)).value
         exact_ok &= cert.value == direct == 2 * n - 2
         exact_ok &= "exhaustively" in cert.note
     upper_ok = True
-    for n in (5, 6, 7, 8):
+    for n in (6, 7, 8):
         cert = verify_mps_hypercube(n, 2)
         upper_ok &= cert.value == 2 * n - 2
         upper_ok &= "cited" in cert.note  # labeled as construction-only
@@ -97,7 +97,8 @@ def test_criterion_3_restricted_preclusion_of_hypercubes():
     ok = exact_ok and upper_ok
     assert report_line(
         "3", ok,
-        f"exact n=3 (s=2,3) and n=4 (s=2): {exact_ok}; labeled upper bounds n=5..8: {upper_ok}")
+        f"exact n=3 (s=2,3), n=4 and n=5 (s=2): {exact_ok}; "
+        f"labeled upper bounds n=6..8: {upper_ok}")
 
 
 def test_criterion_4_optimal_conditional_sets_are_trivial():

@@ -76,7 +76,8 @@ def test_schema_gives_stats_a_shape(tmp_path, capsys):
     path.write_text(emit(hypercube(3), "edge_list"))
     _, out, _ = run_cli(capsys, "solve", str(path), "--mode", "mp")
     report = report_of(out)
-    assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "deepening_rounds"}
+    assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "bound_prunes",
+                                    "deepening_rounds"}
     validate_schema(report)
     for broken in ({"nodes": 1}, dict(report["stats"], nodes=-1),
                    dict(report["stats"], side_prunes="0"), []):
@@ -258,3 +259,38 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.strip() == "internal error: RuntimeError: simulated fault"
+
+
+def test_huge_declared_order_exits_2(tmp_path):
+    # The header declares 10^9 vertices and no edges. The vertex cap must
+    # reject it before any adjacency list exists; the child process runs
+    # under a 1 GiB address-space limit, so a missing cap fails this test
+    # with a MemoryError instead of exhausting the machine.
+    import os
+    import resource
+    import subprocess
+    import sys
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = [sys.executable, "-m", "preclusion.cli", "solve", str(path), "--mode", "mp"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "exceeds the limit of 258047" in proc.stderr
+
+
+def test_non_ascii_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "accent.txt"
+    path.write_bytes("2 1\n0 1 é\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert code == 2
+    assert out == ""
+    assert "must be ASCII" in err

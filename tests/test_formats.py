@@ -91,3 +91,48 @@ def test_detect_format():
     assert detect_format("8 12\n0 1\n") == "edge_list"
     assert detect_format(C5_GRAPH6 + "\n") == "graph6"
     assert detect_format("\n  \nGr`HOk\n") == "graph6"
+
+
+def _fuzz_text(rng, seeds, alphabet):
+    """A random string over ``alphabet``, or a valid encoding with a few
+    characters replaced, inserted or deleted."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+    text = list(rng.choice(seeds))
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(text) + 1)
+        op = rng.random()
+        if op < 0.4 and pos < len(text):
+            text[pos] = rng.choice(alphabet)
+        elif op < 0.7:
+            text.insert(pos, rng.choice(alphabet))
+        elif pos < len(text):
+            del text[pos]
+    return "".join(text)
+
+
+def test_parsers_raise_only_package_errors():
+    # Whatever the input, a parser either returns a graph or raises a
+    # PreclusionError subclass, never a bare Python error.
+    import random
+    from preclusion import PreclusionError
+    alphabets = {
+        "graph6": "?@ABC_`abcz}~>g<h\n ",
+        "edge_list": "0123456789 \n#-x+",
+        "json": '{}[]",:0123456789 -.eEntrufalsbidgp',
+    }
+    graphs = [cycle(5), petersen(), hypercube(3), path(1), complete_bipartite(2, 3)]
+    seeds = {fmt: [emit(g, fmt) for g in graphs] for fmt in alphabets}
+    fixed = [("json", "[" * 100_000), ("json", '{"n": 1e400, "edges": []}'),
+             ("json", '{"n": 3, "edges": [[0, 1.5]]}')]
+    rng = random.Random(415)
+    cases = fixed + [(fmt, _fuzz_text(rng, seeds[fmt], alphabets[fmt]))
+                     for fmt in rng.choices(list(alphabets), k=10_000)]
+    parsed = 0
+    for fmt, text in cases:
+        try:
+            parse(fmt, text)
+            parsed += 1
+        except PreclusionError:
+            pass
+    assert 500 < parsed < len(cases) - 3000

@@ -428,3 +428,69 @@ def test_oracle_sweep_never_calls_the_matching_search(monkeypatch):
     for g, (subsets, firsts) in zip(graphs, expected):
         assert list(precluding_subsets(g, range(4))) == subsets
         assert first_qualifying_subsets(g, kinds) == firsts
+
+
+def _bound_corpus():
+    from preclusion import petersen
+    from conftest import random_corpus
+    return ([petersen(), complete_bipartite(4, 4), hypercube(4)]
+            + random_corpus(40, seed=416, n_choices=(5, 6, 7, 8, 9, 10), max_edges=22))
+
+
+def test_packing_bound_changes_only_stats(monkeypatch):
+    # The bound prunes only subtrees with no qualifying set, so DFS finds
+    # the same first set with or without it, lex-min or not.
+    from preclusion.solver import _Search
+    runs = []
+    for g in _bound_corpus():
+        for kind in (MP, mp_s(1), mp_s(2), AK):
+            if kind == AK and g.n % 2:
+                continue
+            for deterministic in (False, True):
+                runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
+    monkeypatch.setattr(_Search, "_packing_refutes", lambda self, *args: False)
+    pruned = 0
+    for g, kind, deterministic, cert in runs:
+        plain = solve(g, kind, deterministic=deterministic)
+        assert (cert.value, cert.reason) == (plain.value, plain.reason), (g.edges, kind)
+        if cert.feasible:
+            assert cert.witness.members == plain.witness.members, (g.edges, kind)
+        assert cert.stats["nodes"] <= plain.stats["nodes"]
+        assert plain.stats["bound_prunes"] == 0
+        pruned += cert.stats["bound_prunes"] > 0
+    assert pruned >= len(runs) // 4
+
+
+def test_local_side_check_matches_components():
+    # Below the root the search checks only the edge it just deleted; from
+    # a fault set that met the rule, that must agree with a full report.
+    import random as _random
+    from preclusion import components, random_graph
+    from preclusion.solver import _Search
+    rng = _random.Random(417)
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.choice((4, 6, 8, 10, 12))
+        g = random_graph(n, rng.randint(n - 1, min(24, n * (n - 1) // 2)),
+                         seed=rng.randrange(2**32))
+        for kind in (mp_s(1), mp_s(2), mp_s(3), AK):
+            search = _Search(g, kind)
+            for _ in range(4):
+                fault = frozenset(rng.sample(range(g.m), rng.randint(0, g.m // 2)))
+                if not kind.side_holds(components(g, without=fault)):
+                    continue
+                for removed in set(range(g.m)) - fault:
+                    dead = fault | {removed}
+                    expect = kind.side_holds(components(g, without=dead))
+                    assert search._side_holds(dead, removed) == expect, (g.edges, kind)
+                    outcomes[expect] += 1
+    assert min(outcomes.values()) >= 500
+
+
+def test_packing_bound_proves_mp_of_q6():
+    # The greedy packing finds more disjoint perfect matchings of Q6 than
+    # any budget below 6 allows, so rounds 1 to 5 end at the root.
+    cert = solve(hypercube(6), MP, deterministic=True)
+    assert cert.value == 6
+    assert cert.stats["nodes"] <= 100
+    assert is_matching_preclusion_set(hypercube(6), cert.witness)
