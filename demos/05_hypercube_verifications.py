@@ -1,12 +1,15 @@
 """Hypercube fault tolerance end to end: incident cuts, the 2-path bound,
 exhaustive structure of optimal conditional sets, connectivity after faults
-(including the surprises), and the restricted preclusion value 2n-2."""
+(including the surprises), and the restricted preclusion value 2n-2, which
+orbit bans let the solver prove on Q5 without a budget."""
 
 from preclusion import (
     check_connected_after,
     compute_v_e,
     hypercube,
     incident_pair_set,
+    mp_s,
+    solve,
     star_plus_padding_counterexample,
     super_connectivity_report,
     trivial_conditional_set,
@@ -48,3 +51,10 @@ print("\nrestricted preclusion value of the n-cube:")
 for n, s in ((3, 2), (4, 2), (5, 2), (6, 2)):
     cert = verify_mps_hypercube(n, s)
     print(f"  mp_{s}(Q{n}) = {cert.value}; {cert.note}")
+
+q5 = hypercube(5)
+cert = solve(q5, mp_s(1))
+stats = cert.stats
+print(f"\nsolve(Q5, mp_1) without a budget: value {cert.value} = 2n-2 in {stats['nodes']} nodes;"
+      f" {stats['automorphisms']} checked automorphisms banned {stats['orbit_bans']} edges"
+      f" as images of refuted branches")

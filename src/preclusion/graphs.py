@@ -18,6 +18,7 @@ from .errors import ParameterError, TagMismatchError
 
 __all__ = [
     "MAX_VERTICES",
+    "MAX_EDGES",
     "Graph",
     "EdgeSet",
     "ComponentReport",
@@ -40,6 +41,11 @@ __all__ = [
 # input header that declares a huge vertex count fails as a parameter error
 # instead of exhausting memory.
 MAX_VERTICES = 258_047
+
+# The most edges a generator builds. A graph costs about 550 bytes an edge at
+# peak, so one at this cap fits in about 0.6 GB; generators check it, with
+# the order, before they allocate anything.
+MAX_EDGES = 1_000_000
 
 
 class Graph:
@@ -151,57 +157,65 @@ class Graph:
 
 
 class EdgeSet:
-    """A subset of one graph's edges, stored as a frozen set of edge indices.
+    """A subset of one graph's edges.
 
-    Every operation that consumes an :class:`EdgeSet` checks that it is
-    tagged to the graph at hand (same labelling), so indices cannot silently
-    be applied to a foreign graph.
+    The edge indices are kept as a sorted tuple, a fifth of the size of a
+    frozen set of six indices, so certificates kept in bulk stay small;
+    :attr:`members` hands them out as a frozen set. Every operation that
+    consumes an :class:`EdgeSet` checks that it is tagged to the graph at
+    hand (same labelling), so indices cannot silently be applied to a
+    foreign graph.
     """
 
-    __slots__ = ("graph", "members")
+    __slots__ = ("graph", "ids")
 
     def __init__(self, graph: Graph, members: Iterable[int]):
-        ms = frozenset(members)
-        for eid in ms:
-            if not (0 <= eid < graph.m):
-                raise ParameterError(f"edge index {eid} out of range for m={graph.m}")
+        ids = tuple(sorted(frozenset(members)))
+        if ids and not (0 <= ids[0] and ids[-1] < graph.m):
+            eid = ids[0] if ids[0] < 0 else ids[-1]
+            raise ParameterError(f"edge index {eid} out of range for m={graph.m}")
         self.graph = graph
-        self.members = ms
+        self.ids = ids
+
+    @property
+    def members(self) -> frozenset[int]:
+        """The edge indices as a frozen set, built on each access."""
+        return frozenset(self.ids)
 
     @classmethod
     def from_pairs(cls, graph: Graph, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
         return cls(graph, (graph.edge_id(u, v) for u, v in pairs))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self.graph.edges[eid] for eid in sorted(self.members))
+        return tuple(self.graph.edges[eid] for eid in self.ids)
 
     def union(self, other: Iterable[int]) -> "EdgeSet":
-        extra = other.members if isinstance(other, EdgeSet) else frozenset(other)
-        return EdgeSet(self.graph, self.members | extra)
+        extra = other.ids if isinstance(other, EdgeSet) else other
+        return EdgeSet(self.graph, self.members.union(extra))
 
     def difference(self, other: Iterable[int]) -> "EdgeSet":
-        drop = other.members if isinstance(other, EdgeSet) else frozenset(other)
-        return EdgeSet(self.graph, self.members - drop)
+        drop = other.ids if isinstance(other, EdgeSet) else other
+        return EdgeSet(self.graph, self.members.difference(drop))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(self.ids)
 
     def __contains__(self, eid: int) -> bool:
-        return eid in self.members
+        return eid in self.ids
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeSet):
             return NotImplemented
-        return self.graph.same_labelling(other.graph) and self.members == other.members
+        return self.graph.same_labelling(other.graph) and self.ids == other.ids
 
     def __hash__(self) -> int:
-        return hash(self.members)
+        return hash(self.ids)
 
     def __repr__(self) -> str:
-        return f"EdgeSet({sorted(self.members)})"
+        return f"EdgeSet({list(self.ids)})"
 
 
 def require_tagged(graph: Graph, edge_set: EdgeSet) -> None:
@@ -225,6 +239,15 @@ class ComponentReport:
 # Generators
 # ---------------------------------------------------------------------------
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse a generator's order ``n`` or edge count ``m`` above the caps
+    before any edge list exists."""
+    if n > MAX_VERTICES:
+        raise ParameterError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ParameterError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
+
+
 def hypercube(n: int) -> Graph:
     """The hypercube Q_n: vertex ``i`` is the n-bit string of ``i``, and
     ``i`` is adjacent to ``i ^ (1 << k)`` for each bit position ``k``.
@@ -233,6 +256,9 @@ def hypercube(n: int) -> Graph:
     """
     if n < 1:
         raise ParameterError(f"hypercube dimension must be >= 1, got {n}")
+    if n >= MAX_VERTICES.bit_length():
+        raise ParameterError(f"vertex count 2^{n} exceeds the limit of {MAX_VERTICES}")
+    _check_size(1 << n, n << (n - 1))
     size = 1 << n
     edges = []
     for i in range(size):
@@ -247,12 +273,14 @@ def hypercube(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete graph order must be >= 1, got {n}")
+    _check_size(n, n * (n - 1) // 2)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ParameterError(f"complete bipartite sides must be >= 1, got ({a}, {b})")
+    _check_size(a + b, a * b)
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     return Graph(a + b, edges, bipartition=[0] * a + [1] * b)
 
@@ -270,12 +298,14 @@ def petersen() -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError(f"cycle needs at least 3 vertices, got {n}")
+    _check_size(n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path needs at least 1 vertex, got {n}")
+    _check_size(n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -343,7 +373,8 @@ def delete_edges(g: Graph, f: EdgeSet) -> Graph:
     :func:`surviving_edge_ids` recovers the original indices.
     """
     require_tagged(g, f)
-    kept = [g.edges[eid] for eid in range(g.m) if eid not in f.members]
+    dead = f.members
+    kept = [g.edges[eid] for eid in range(g.m) if eid not in dead]
     sides = g.bipartition
     return Graph(g.n, kept, bipartition=sides)
 
@@ -351,7 +382,8 @@ def delete_edges(g: Graph, f: EdgeSet) -> Graph:
 def surviving_edge_ids(g: Graph, f: EdgeSet) -> tuple[int, ...]:
     """Map each edge index of ``delete_edges(g, f)`` to its index in ``g``."""
     require_tagged(g, f)
-    return tuple(eid for eid in range(g.m) if eid not in f.members)
+    dead = f.members
+    return tuple(eid for eid in range(g.m) if eid not in dead)
 
 
 def components(g: Graph, without: Optional[Iterable[int]] = None) -> ComponentReport:

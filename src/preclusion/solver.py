@@ -28,6 +28,28 @@ preclusion", 2005). Only refuted subtrees are cut, so DFS order, values and
 witnesses are those of the plain enumeration; ``stats["bound_prunes"]``
 counts the k-dependent cuts, which keep deepening going like budget prunes.
 
+Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
+branching", Math. Programming 126, 2011) stops the search from refuting
+every symmetric image of a refuted branch again. Let Gamma be the
+automorphisms of g that fix a node's F and B setwise. Once the node's
+children e_1..e_i are refuted, no qualifying set of size <= k through F
+avoiding B contains any of them: such a set either contains an earlier
+child or ban, or lies below child e_i. Nor does one contain sigma(e_i) for
+sigma in Gamma, since sigma^-1 maps it to a set of the same size through F
+and e_i avoiding B, and automorphisms keep matchings and components. So the
+node bans the Gamma-orbit of each refuted child for its later children. A
+ban repeats a refutation of this round, so a round that no budget or bound
+cut shaped makes bans that hold at every k, and the deepening stop rule
+stays exact. The first qualifying set in DFS order contains no banned edge,
+so the search still returns it. ``symmetry.automorphisms`` finds the
+generators of Gamma and checks each one. Three fixed rules keep the cost
+where the search has already spent as much: g's colour refinement runs once
+per solve, lazily, and a discrete one ends all symmetry work (Gamma is then
+trivial); a node computes orbits only after a refuted child's subtree took
+at least m nodes; orbits are cached per (F, B) for the solve.
+``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
+themselves, and ``stats["automorphisms"]`` the checked generators found.
+
 ``brute_force_solve`` is the independent oracle: it enumerates edge subsets
 in increasing cardinality and tests each against an exhaustive list of the
 graph's near-perfect matchings, never calling the optimizer's matching
@@ -140,7 +162,7 @@ def mp_s(s: int) -> ProblemKind:
     return ProblemKind("mps", s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evidence:
     """What the graph looks like after deleting a certificate's witness."""
 
@@ -149,7 +171,7 @@ class Evidence:
     connected: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreclusionCertificate:
     """Solver answer: optimal value (possibly infinite) plus a witness.
 
@@ -234,9 +256,10 @@ def _none_within(g: Graph, kind: ProblemKind, cap: Optional[int],
 
 
 def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
-    rep = components(g, without=witness.members)
+    dead = witness.members
+    rep = components(g, without=dead)
     return Evidence(
-        nu_after=matching_number_excluding(g, witness.members),
+        nu_after=matching_number_excluding(g, dead),
         component_min_size=rep.min_size,
         connected=rep.connected,
     )
@@ -247,13 +270,16 @@ def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
 # ---------------------------------------------------------------------------
 
 class _Stats:
-    __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "rounds")
+    __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
+                 "automorphisms", "rounds")
 
     def __init__(self):
         self.nodes = 0
         self.budget_prunes = 0
         self.side_prunes = 0
         self.bound_prunes = 0
+        self.orbit_bans = 0
+        self.automorphisms = 0
         self.rounds = 0
 
     def as_dict(self) -> dict:
@@ -262,6 +288,8 @@ class _Stats:
             "budget_prunes": self.budget_prunes,
             "side_prunes": self.side_prunes,
             "bound_prunes": self.bound_prunes,
+            "orbit_bans": self.orbit_bans,
+            "automorphisms": self.automorphisms,
             "deepening_rounds": self.rounds,
         }
 
@@ -274,6 +302,9 @@ class _Search:
         self.floor = kind.component_floor(g.n)
         self.edge_to = [dict(nbrs) for nbrs in g.adj]
         self.threshold = g.n // 2 - 1
+        self.m = g.m
+        self.symmetric: Optional[bool] = None  # refinement of g is not discrete
+        self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and deleting its edge ab
@@ -366,15 +397,52 @@ class _Search:
         if self._packing_refutes(fault, banned, mates, k - len(fault), stats):
             return None
         cur_banned = banned
+        orbits = None
         for eid in self._matched_edge_ids(mates):
-            if eid not in cur_banned:
-                child_fault = fault | {eid}
-                child_mates = self._mates_after(child_fault, mates, eid)
-                result = self._dfs(child_fault, cur_banned, child_mates, k, stats, eid)
-                if result is not None:
-                    return result
+            if eid in cur_banned:
+                continue
+            child_fault = fault | {eid}
+            child_mates = self._mates_after(child_fault, mates, eid)
+            start = stats.nodes
+            result = self._dfs(child_fault, cur_banned, child_mates, k, stats, eid)
+            if result is not None:
+                return result
             cur_banned = cur_banned | {eid}
+            # Orbit bans (module docstring): once a refuted child's subtree
+            # took m nodes, ban the orbits of every child refuted so far,
+            # and from then on the orbit of each refuted child.
+            if orbits is not None:
+                grown = cur_banned | orbits[eid]
+            elif stats.nodes - start >= self.m and self._is_symmetric():
+                orbits = self._edge_orbits(fault, banned, stats)
+                grown = cur_banned.union(*(orbits[e] for e in cur_banned - banned))
+            else:
+                continue
+            stats.orbit_bans += len(grown) - len(cur_banned)
+            cur_banned = grown
         return None
+
+    def _is_symmetric(self) -> bool:
+        """Whether g may have automorphisms; settled once, by refinement.
+        ``symmetry`` is imported on first use, so importing the package and
+        the many solves that never reach the gate do not pay for it."""
+        if self.symmetric is None:
+            from .symmetry import refines_to_discrete
+            self.symmetric = not refines_to_discrete(self.g)
+        return self.symmetric
+
+    def _edge_orbits(self, fault: frozenset[int], banned: frozenset[int],
+                     stats: _Stats) -> tuple[frozenset[int], ...]:
+        """The edge orbits of the automorphisms of g that fix ``fault`` and
+        ``banned`` setwise, computed once per pair for the solve."""
+        key = (fault, banned)
+        orbits = self.orbits.get(key)
+        if orbits is None:
+            from .symmetry import automorphisms, edge_orbits
+            generators = automorphisms(self.g, key)
+            stats.automorphisms += len(generators)
+            orbits = self.orbits[key] = edge_orbits(self.g, generators)
+        return orbits
 
     def decide(self, k: int, stats: _Stats,
                fault0: frozenset[int] = frozenset(),
@@ -390,23 +458,20 @@ def _lex_min_witness(search: _Search, k: int, known: frozenset[int],
     """Lexicographically smallest optimal witness (by sorted edge indices),
     grown one position at a time with constrained feasibility searches. A
     known witness guides the scan so each position tries only smaller
-    indices than the incumbent."""
+    indices than the incumbent. A set found through the fixed positions and
+    index e avoids every other index below e, so the incumbent always starts
+    with the positions fixed so far, and the last one is the answer."""
+    witness = known
     best = sorted(known)
-    prefix: list[int] = []
     for pos in range(k):
-        start = prefix[-1] + 1 if prefix else 0
-        guide = best[pos]
-        chosen = guide
-        for e in range(start, guide):
-            fault0 = frozenset(prefix) | {e}
+        for e in range(best[pos - 1] + 1 if pos else 0, best[pos]):
+            fault0 = frozenset(best[:pos]) | {e}
             banned0 = frozenset(range(e)) - fault0
             found = search.decide(k, stats, fault0=fault0, banned0=banned0)
             if found is not None:
-                chosen = e
-                best = sorted(found)
+                witness, best = found, sorted(found)
                 break
-        prefix.append(chosen)
-    return frozenset(prefix)
+    return witness
 
 
 def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,

@@ -77,7 +77,7 @@ def test_schema_gives_stats_a_shape(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "solve", str(path), "--mode", "mp")
     report = report_of(out)
     assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "bound_prunes",
-                                    "deepening_rounds"}
+                                    "orbit_bans", "automorphisms", "deepening_rounds"}
     validate_schema(report)
     for broken in ({"nodes": 1}, dict(report["stats"], nodes=-1),
                    dict(report["stats"], side_prunes="0"), []):
@@ -261,17 +261,14 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: simulated fault"
 
 
-def test_huge_declared_order_exits_2(tmp_path):
-    # The header declares 10^9 vertices and no edges. The vertex cap must
-    # reject it before any adjacency list exists; the child process runs
-    # under a 1 GiB address-space limit, so a missing cap fails this test
-    # with a MemoryError instead of exhausting the machine.
+def _run_cli_under_1_gib(*argv):
+    """The CLI in a child process under a 1 GiB address-space limit, so a
+    missing size cap fails with a MemoryError instead of exhausting the
+    machine."""
     import os
     import resource
     import subprocess
     import sys
-    path = tmp_path / "huge.txt"
-    path.write_text("1000000000 0\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -279,12 +276,31 @@ def test_huge_declared_order_exits_2(tmp_path):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    argv = [sys.executable, "-m", "preclusion.cli", "solve", str(path), "--mode", "mp"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          preexec_fn=limit_memory)
+    return subprocess.run([sys.executable, "-m", "preclusion.cli", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit_memory)
+
+
+def test_huge_declared_order_exits_2(tmp_path):
+    # The header declares 10^9 vertices and no edges. The vertex cap must
+    # reject it before any adjacency list exists.
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    proc = _run_cli_under_1_gib("solve", str(path), "--mode", "mp")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert "exceeds the limit of 258047" in proc.stderr
+
+
+def test_huge_generated_graph_exits_2():
+    # The generators check the order, and the edge count of the dense
+    # families, before they build an edge list.
+    for argv, limit in ((("hypercube", "30"), "258047"), (("path", "100000000"), "258047"),
+                        (("complete", "100000"), "1000000"),
+                        (("complete_bipartite", "100000", "100000"), "1000000")):
+        proc = _run_cli_under_1_gib("gen", *argv, "--format", "edges")
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert f"exceeds the limit of {limit}" in proc.stderr
 
 
 def test_non_ascii_input_exits_2(tmp_path, capsys):

@@ -494,3 +494,13 @@ def test_packing_bound_proves_mp_of_q6():
     assert cert.value == 6
     assert cert.stats["nodes"] <= 100
     assert is_matching_preclusion_set(hypercube(6), cert.witness)
+
+
+def test_orbit_bans_refute_q5_restricted_budget_7():
+    # mp_1(Q5) = 8. Orbit bans stop the search from refuting every symmetric
+    # image of a refuted branch again; without them this takes 74,057 nodes.
+    cert = solve(hypercube(5), mp_s(1), budget=7)
+    assert cert.value == INFINITY
+    assert cert.reason == "no 1-restricted matching preclusion set of size at most 7 exists"
+    assert cert.stats["nodes"] <= 9000
+    assert cert.stats["orbit_bans"] > 0 and cert.stats["automorphisms"] > 0

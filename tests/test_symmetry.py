@@ -1,0 +1,202 @@
+import random
+
+from preclusion import (
+    AK,
+    MP,
+    ORACLE_EDGE_LIMIT,
+    EdgeSet,
+    Graph,
+    brute_force_solve,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    is_s_restricted_set,
+    mp_s,
+    petersen,
+    random_bipartite_with_pm,
+    solve,
+    with_bipartition,
+)
+from preclusion import symmetry
+from preclusion.reduction import build_reduction
+from preclusion.symmetry import automorphisms, edge_orbits, is_automorphism
+
+
+def relabel(g, rng):
+    """``g`` under a random vertex permutation, edges re-indexed in sorted order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
+def frucht():
+    """The Frucht graph (LCF [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]): 3-regular, so
+    refinement splits nothing, yet its only automorphism is the identity."""
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    edges += [(0, 7), (1, 11), (2, 10), (3, 5), (4, 9), (6, 8)]
+    return Graph(12, edges)
+
+
+def group_order(n, generators):
+    """Size of the permutation group the generators span, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for q in generators:
+            r = tuple(q[p[v]] for v in range(n))
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return len(seen)
+
+
+GROUPS = [(hypercube(3), 48), (petersen(), 120), (complete_bipartite(4, 4), 1152),
+          (complete(6), 720), (cycle(8), 16), (frucht(), 1)]
+
+
+def test_automorphisms_span_the_whole_group():
+    rng = random.Random(501)
+    for g, order in GROUPS:
+        for h in (g, relabel(g, rng), relabel(g, rng)):
+            generators = automorphisms(h)
+            assert all(is_automorphism(h, p) for p in generators)
+            assert group_order(h.n, generators) == order, h.edges
+    assert automorphisms(frucht()) == []
+    assert not symmetry.refines_to_discrete(frucht())
+
+
+def test_check_rejects_non_automorphisms_and_moved_sets():
+    q3 = hypercube(3)
+    assert is_automorphism(q3, tuple(range(8)))
+    assert not is_automorphism(q3, (1, 0, 2, 3, 4, 5, 6, 7))  # swaps 0 and 1 only
+    assert not is_automorphism(q3, (0, 0, 2, 3, 4, 5, 6, 7))  # not a permutation
+    assert not is_automorphism(q3, (0, 1, 2))
+    flip = tuple(v ^ 1 for v in range(8))  # an automorphism moving bit 0
+    assert is_automorphism(q3, flip)
+    along = q3.edge_id(0, 1)   # flip maps it onto itself
+    across = q3.edge_id(0, 2)  # flip maps it to edge (1, 3)
+    assert is_automorphism(q3, flip, (frozenset({along}),))
+    assert not is_automorphism(q3, flip, (frozenset({across}),))
+    assert not is_automorphism(q3, flip, (frozenset(), frozenset({across})))
+    assert is_automorphism(q3, flip, (frozenset({across, q3.edge_id(1, 3)}), frozenset({along})))
+    # the same set as F in one place and as B in the other is no match
+    assert not is_automorphism(q3, flip, (frozenset({across}), frozenset({q3.edge_id(1, 3)})))
+
+
+def test_generators_fix_the_given_sets():
+    rng = random.Random(502)
+    for g, _ in GROUPS[:5]:
+        for _ in range(10):
+            fault = frozenset(rng.sample(range(g.m), rng.randint(0, 2)))
+            banned = frozenset(rng.sample(sorted(set(range(g.m)) - fault), rng.randint(0, 3)))
+            generators = automorphisms(g, (fault, banned))
+            for perm in generators:
+                assert is_automorphism(g, perm, (fault, banned))
+                images = {g.edge_id(perm[u], perm[v]) for u, v in (g.edges[e] for e in fault)}
+                assert images == fault
+            for eid, orbit in enumerate(edge_orbits(g, generators)):
+                assert eid in orbit
+                assert (eid in fault) == (orbit <= fault)
+                assert (eid in banned) == (orbit <= banned)
+
+
+def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
+    # With an invariant that tells no two nodes of a level apart, every leaf
+    # of a level is tried, and only the edge-by-edge check stands between a
+    # leaf map and the generator list.
+    refine = symmetry._refine
+
+    def blind(nbrs, width, colour):
+        colour, count, _ = refine(nbrs, width, colour)
+        return colour, count, count
+
+    monkeypatch.setattr(symmetry, "_refine", blind)
+    for g, order in GROUPS:
+        generators = automorphisms(g)
+        assert all(is_automorphism(g, p) for p in generators)
+        assert group_order(g.n, generators) == order
+    assert automorphisms(frucht()) == []
+
+
+def test_orbits_of_aut_g_in_place_of_gamma_give_a_wrong_answer(monkeypatch):
+    # At a node with F = {e}, an automorphism of g that moves e maps a
+    # refuted child to a branch that was never refuted. Q3 is edge-transitive
+    # and mp_1(Q3) = 4, so every edge lies in some optimum.
+    from preclusion.solver import _Search, _Stats
+    q3 = hypercube(3)
+    kind = mp_s(1)
+
+    def found_through_each_edge():
+        out = []
+        for e in range(q3.m):
+            found = _Search(q3, kind).decide(4, _Stats(), fault0=frozenset({e}))
+            if found is not None:
+                assert e in found and len(found) == 4
+                assert is_s_restricted_set(q3, EdgeSet(q3, found), 1)
+            out.append(found is not None)
+        return out
+
+    assert all(found_through_each_edge())
+    exact = _Search._edge_orbits
+
+    def aut_g_at_depth_one(self, fault, banned, stats):
+        if len(fault) == 1:
+            fault, banned = frozenset(), frozenset()
+        return exact(self, fault, banned, stats)
+
+    monkeypatch.setattr(_Search, "_edge_orbits", aut_g_at_depth_one)
+    assert not all(found_through_each_edge())
+
+
+def _gadgets():
+    rng = random.Random(503)
+    out = []
+    while len(out) < 6:
+        t = rng.randint(1, 3)
+        source = random_bipartite_with_pm(t, rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(2**32))
+        gadget = build_reduction(source).gadget
+        if gadget.m <= ORACLE_EDGE_LIMIT:
+            out.append(with_bipartition(gadget))
+    return out
+
+
+def _symmetric_corpus():
+    """The small symmetric graphs, the gadgets, two relabelled copies of
+    each, and Q4."""
+    rng = random.Random(504)
+    base = [g for g, _ in GROUPS[:5]] + _gadgets()
+    return base + [relabel(g, rng) for g in base for _ in range(2)] + [hypercube(4)]
+
+
+def test_orbit_pruning_changes_only_stats(monkeypatch):
+    # Orbit bans cut only branches with no qualifying set, so DFS finds the
+    # same first set with or without them, lex-min or not; both agree with
+    # the oracle where it reaches.
+    from preclusion.solver import _Search
+    runs = []
+    for g in _symmetric_corpus():
+        for kind in (MP, mp_s(1), mp_s(2), AK):
+            if kind == AK and g.n % 2:
+                continue
+            oracle = brute_force_solve(g, kind) if g.m <= ORACLE_EDGE_LIMIT else None
+            for deterministic in (False, True):
+                runs.append((g, kind, deterministic, oracle,
+                             solve(g, kind, deterministic=deterministic)))
+    monkeypatch.setattr(_Search, "_is_symmetric", lambda self: False)
+    banning = 0
+    for g, kind, deterministic, oracle, cert in runs:
+        plain = solve(g, kind, deterministic=deterministic)
+        assert (cert.value, cert.reason) == (plain.value, plain.reason), (g.edges, kind)
+        if cert.feasible:
+            assert cert.witness == plain.witness, (g.edges, kind)
+        if oracle is not None:
+            assert cert.value == oracle.value, (g.edges, kind)
+            if cert.feasible and deterministic:
+                assert cert.witness == oracle.witness, (g.edges, kind)
+        assert cert.stats["nodes"] <= plain.stats["nodes"]
+        assert plain.stats["orbit_bans"] == plain.stats["automorphisms"] == 0
+        banning += cert.stats["orbit_bans"] > 0
+    assert banning >= len(runs) // 6
