@@ -18,7 +18,7 @@ from typing import Optional
 from . import __version__
 from .errors import ParseError, PreclusionError
 from .formats import detect_format, emit, parse
-from .graphs import Graph, generate, hypercube, with_bipartition
+from .graphs import Graph, generate, hypercube
 from .cubes import (
     lemma_report_conditional_sets,
     super_connectivity_report,
@@ -68,8 +68,7 @@ def _read_graph(path: str) -> Graph:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError("graph input must be ASCII text", exc.start) from exc
-    g = parse(detect_format(text), text)
-    return with_bipartition(g)
+    return parse(detect_format(text), text)
 
 
 def _json_value(value: float):

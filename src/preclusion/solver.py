@@ -10,10 +10,16 @@ superset of F must delete one of M's edges, so the node branches over them
 twice). Side conditions - minimum component size for the s-restricted
 problem, connectivity for anti-Kekule - are one component floor
 (``ProblemKind.component_floor``) and antitone under deletion, so a branch
-dies as soon as one fails. The root takes a full component report; below it
-only the edge ab just deleted can split a component, so a search from a,
-then from b, capped at the floor or stopped on meeting the other endpoint,
-decides the rule.
+dies as soon as one fails.
+
+A solve has one root: g's maximum matching and side-rule status, computed
+once; they also answer the INFINITY precheck. Every other node, lex-min
+candidates included, is one deletion step from its parent. Deleting ab
+keeps M maximum unless M uses ab; then one Edmonds search from a, then from
+b, restores it. Only ab can split a component, so a search from a, then
+from b, capped at the floor or stopped on meeting the other endpoint,
+decides the rule. A lex-min candidate is a child of its fixed prefix, which
+needs no side check: it is a subset of a qualifying set.
 
 Every fault set below a node (fault set F, banned set B, room r = k - |F|)
 is F + S with S avoiding B and |S| <= r. A greedy packing bound refutes
@@ -69,7 +75,6 @@ from .errors import OracleLimitError, ParameterError, PreconditionError
 from .graphs import ComponentReport, EdgeSet, Graph, components, random_graph, require_tagged
 from .matching import (
     augment_from,
-    matching_number,
     matching_number_excluding,
     maximize,
     maximum_matching_mates,
@@ -233,12 +238,12 @@ def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
     return EdgeSet(g, g.incident(v))
 
 
-def _infinity_without_search(g: Graph, kind: ProblemKind,
+def _infinity_without_search(kind: ProblemKind, near_perfect: bool, connected: bool,
                              stats: Optional[dict] = None) -> Optional[PreclusionCertificate]:
     """INFINITY when g has no near-perfect matching, or is disconnected for ak."""
-    if matching_number(g) < g.n // 2:
+    if not near_perfect:
         reason = "graph has neither a perfect nor an almost perfect matching"
-    elif kind == AK and not kind.side_holds(components(g)):
+    elif kind == AK and not connected:
         reason = "graph is disconnected; edge deletion cannot restore connectivity"
     else:
         return None
@@ -270,51 +275,47 @@ def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
 # ---------------------------------------------------------------------------
 
 class _Stats:
+    """The search's counters, reported as ``stats`` under these names."""
+
     __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
-                 "automorphisms", "rounds")
+                 "automorphisms", "deepening_rounds")
 
     def __init__(self):
-        self.nodes = 0
-        self.budget_prunes = 0
-        self.side_prunes = 0
-        self.bound_prunes = 0
-        self.orbit_bans = 0
-        self.automorphisms = 0
-        self.rounds = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "budget_prunes": self.budget_prunes,
-            "side_prunes": self.side_prunes,
-            "bound_prunes": self.bound_prunes,
-            "orbit_bans": self.orbit_bans,
-            "automorphisms": self.automorphisms,
-            "deepening_rounds": self.rounds,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class _Search:
+    """One solve's state: its root, its counters and its orbit cache."""
+
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
-        self.kind = kind
         self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
         self.edge_to = [dict(nbrs) for nbrs in g.adj]
         self.threshold = g.n // 2 - 1
         self.m = g.m
+        self.mates = maximum_matching_mates(g)
+        self.root_side = not self.has_side or kind.side_holds(components(g))
+        self.stats = _Stats()
         self.symmetric: Optional[bool] = None  # refinement of g is not discrete
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
-        # The parent's matching M was maximum, and deleting its edge ab
-        # loses at most one unit of nu. Any augmenting path for M - ab in
-        # g - dead must end at a or b (one avoiding both would already
-        # augment M), so one Edmonds search from a, then from b, restores
-        # maximality. When M was perfect, a and b are the only free
-        # vertices, and a path from b would end at a.
-        mates = parent_mates.copy()
+        # The parent's matching M was maximum, and stays so (shared, never
+        # mutated) unless it uses the deleted edge ab, whose loss costs at
+        # most one unit of nu. Any augmenting path for M - ab in g - dead
+        # must end at a or b (one avoiding both would already augment M), so
+        # one Edmonds search from a, then from b, restores maximality. When
+        # M was perfect, a and b are the only free vertices, and a path from
+        # b would end at a.
         a, b = self.g.edges[removed]
+        if parent_mates[a] != b:
+            return parent_mates
+        mates = parent_mates.copy()
         mates[a] = mates[b] = -1
         if not augment_from(self.g, dead, mates, a) and -1 in parent_mates:
             augment_from(self.g, dead, mates, b)
@@ -326,13 +327,13 @@ class _Search:
 
     def _side_holds(self, dead: frozenset[int], removed: Optional[int]) -> bool:
         """Whether g - dead meets the component floor. At the root
-        (``removed`` None) this takes a full report. Below it, g - (dead -
-        ab) met the floor, where ab is the edge ``removed``, and deleting ab
-        can only split the component of a and b: a search from a, then from
-        b, that meets the other endpoint or collects ``floor`` vertices
-        settles it."""
+        (``removed`` None) that is g's status, cached by the constructor.
+        Below it, g - (dead - ab) met the floor, where ab is the edge
+        ``removed``, and deleting ab can only split the component of a and
+        b: a search from a, then from b, that meets the other endpoint or
+        collects ``floor`` vertices settles it."""
         if removed is None:
-            return self.kind.side_holds(components(self.g, without=dead))
+            return self.root_side
         adj = self.g.adj
         floor = self.floor
         ends = self.g.edges[removed]
@@ -351,7 +352,7 @@ class _Search:
         return True
 
     def _packing_refutes(self, fault: frozenset[int], banned: frozenset[int],
-                         mates: list[int], room: int, stats: _Stats) -> bool:
+                         mates: list[int], room: int) -> bool:
         """Whether greedily packed near-perfect matchings M_1, M_2, ...
         with disjoint unbanned parts U_i prove that no qualifying set F + S,
         S avoiding ``banned`` with |S| <= ``room``, lies below this node
@@ -372,7 +373,7 @@ class _Search:
                 return True
             packed += 1
             if packed > room:
-                stats.bound_prunes += 1
+                self.stats.bound_prunes += 1
                 return True
             for v in freed:
                 mates[v] = -1
@@ -380,7 +381,8 @@ class _Search:
                 return False
 
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
-             k: int, stats: _Stats, removed: Optional[int] = None) -> Optional[frozenset[int]]:
+             k: int, removed: Optional[int] = None) -> Optional[frozenset[int]]:
+        stats = self.stats
         stats.nodes += 1
         leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
         if not leaf and len(fault) >= k:
@@ -394,7 +396,7 @@ class _Search:
             return None
         if leaf:
             return fault
-        if self._packing_refutes(fault, banned, mates, k - len(fault), stats):
+        if self._packing_refutes(fault, banned, mates, k - len(fault)):
             return None
         cur_banned = banned
         orbits = None
@@ -404,7 +406,7 @@ class _Search:
             child_fault = fault | {eid}
             child_mates = self._mates_after(child_fault, mates, eid)
             start = stats.nodes
-            result = self._dfs(child_fault, cur_banned, child_mates, k, stats, eid)
+            result = self._dfs(child_fault, cur_banned, child_mates, k, eid)
             if result is not None:
                 return result
             cur_banned = cur_banned | {eid}
@@ -414,7 +416,7 @@ class _Search:
             if orbits is not None:
                 grown = cur_banned | orbits[eid]
             elif stats.nodes - start >= self.m and self._is_symmetric():
-                orbits = self._edge_orbits(fault, banned, stats)
+                orbits = self._edge_orbits(fault, banned)
                 grown = cur_banned.union(*(orbits[e] for e in cur_banned - banned))
             else:
                 continue
@@ -431,8 +433,8 @@ class _Search:
             self.symmetric = not refines_to_discrete(self.g)
         return self.symmetric
 
-    def _edge_orbits(self, fault: frozenset[int], banned: frozenset[int],
-                     stats: _Stats) -> tuple[frozenset[int], ...]:
+    def _edge_orbits(self, fault: frozenset[int],
+                     banned: frozenset[int]) -> tuple[frozenset[int], ...]:
         """The edge orbits of the automorphisms of g that fix ``fault`` and
         ``banned`` setwise, computed once per pair for the solve."""
         key = (fault, banned)
@@ -440,38 +442,32 @@ class _Search:
         if orbits is None:
             from .symmetry import automorphisms, edge_orbits
             generators = automorphisms(self.g, key)
-            stats.automorphisms += len(generators)
+            self.stats.automorphisms += len(generators)
             orbits = self.orbits[key] = edge_orbits(self.g, generators)
         return orbits
 
-    def decide(self, k: int, stats: _Stats,
-               fault0: frozenset[int] = frozenset(),
-               banned0: frozenset[int] = frozenset()) -> Optional[frozenset[int]]:
-        """Search for a qualifying set of size <= k that contains ``fault0``
-        and avoids ``banned0``; the first one in DFS order, or None."""
-        mates0 = maximum_matching_mates(self.g, fault0)
-        return self._dfs(fault0, banned0, mates0, k, stats)
-
-
-def _lex_min_witness(search: _Search, k: int, known: frozenset[int],
-                     stats: _Stats) -> frozenset[int]:
-    """Lexicographically smallest optimal witness (by sorted edge indices),
-    grown one position at a time with constrained feasibility searches. A
-    known witness guides the scan so each position tries only smaller
-    indices than the incumbent. A set found through the fixed positions and
-    index e avoids every other index below e, so the incumbent always starts
-    with the positions fixed so far, and the last one is the answer."""
-    witness = known
-    best = sorted(known)
-    for pos in range(k):
-        for e in range(best[pos - 1] + 1 if pos else 0, best[pos]):
-            fault0 = frozenset(best[:pos]) | {e}
-            banned0 = frozenset(range(e)) - fault0
-            found = search.decide(k, stats, fault0=fault0, banned0=banned0)
-            if found is not None:
-                witness, best = found, sorted(found)
-                break
-    return witness
+    def _lex_min_witness(self, k: int, known: frozenset[int]) -> frozenset[int]:
+        """Lexicographically smallest optimal witness (by sorted edge
+        indices), grown one position at a time. A known witness guides the
+        scan so each position tries only smaller indices than the incumbent.
+        With the positions P fixed, candidate e is P's child deleting e and
+        banning every other index below e, so a set found avoids them, the
+        incumbent always starts with P, and the last one is the answer. P is
+        walked down from the root, and needs no side check (module docstring)."""
+        witness = known
+        best = sorted(known)
+        prefix, mates = frozenset(), self.mates
+        for pos in range(k):
+            for e in range(best[pos - 1] + 1 if pos else 0, best[pos]):
+                fault = prefix | {e}
+                found = self._dfs(fault, frozenset(range(e)) - fault,
+                                  self._mates_after(fault, mates, e), k, e)
+                if found is not None:
+                    witness, best = found, sorted(found)
+                    break
+            prefix = prefix | {best[pos]}
+            mates = self._mates_after(prefix, mates, best[pos])
+        return witness
 
 
 def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
@@ -491,18 +487,18 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     if kind.name == "ak" and g.n % 2 == 1:
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
 
-    stats = _Stats()
-    trivial = _infinity_without_search(g, kind, stats.as_dict())
+    search = _Search(g, kind)
+    stats = search.stats
+    trivial = _infinity_without_search(kind, search.mates.count(-1) <= g.n % 2,
+                                       search.root_side, stats.as_dict())
     if trivial is not None:
         return trivial
-
-    search = _Search(g, kind)
     cap = g.m if budget is None else min(budget, g.m)
     witness = None
     for k in range(cap + 1):
-        stats.rounds += 1
+        stats.deepening_rounds += 1
         cuts = stats.budget_prunes + stats.bound_prunes
-        witness = search.decide(k, stats)
+        witness = search._dfs(frozenset(), frozenset(), search.mates, k)
         # A round that neither the budget nor the k-dependent packing bound
         # cut refuted the whole tree, and every larger k would search that
         # same tree again.
@@ -511,7 +507,7 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     if witness is None:
         return _none_within(g, kind, budget, stats.as_dict())
     if deterministic:
-        witness = _lex_min_witness(search, len(witness), witness, stats)
+        witness = search._lex_min_witness(len(witness), witness)
     edge_set = EdgeSet(g, witness)
     return PreclusionCertificate(kind, len(witness), edge_set, evidence_for(g, edge_set),
                                  stats=stats.as_dict())
@@ -576,13 +572,15 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
-    trivial = _infinity_without_search(g, kind)
-    if trivial is not None:
-        return trivial
-
     cap = g.m if max_size is None else min(max_size, g.m)
-    hit = first_qualifying_subsets(g, [kind], cap).get(kind)
+    connected = kind != AK or AK.side_holds(components(g))
+    hit = first_qualifying_subsets(g, [kind], cap).get(kind) if connected else None
     if hit is None:
+        # Asked only now, so a feasible answer enumerates the near-perfect
+        # matchings once, inside the sweep.
+        trivial = _infinity_without_search(kind, bool(near_perfect_matching_masks(g)), connected)
+        if trivial is not None:
+            return trivial
         # g has a near-perfect matching, so the sweep tested every subset
         checked = sum(math.comb(g.m, size) for size in range(cap + 1))
         return _none_within(g, kind, max_size, {"subsets_checked": checked})

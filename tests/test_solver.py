@@ -256,8 +256,8 @@ def test_ak_k33():
 
 
 def _check_incremental_rematch(g, dead, parent_mates, removed):
-    """Re-match after deleting the matched edge ``removed`` the way the
-    search does, and compare with two independent routes."""
+    """Re-match after deleting the edge ``removed`` the way the search
+    does, and compare with two independent routes."""
     from preclusion import brute_force_matching_number, delete_edges
     from preclusion.matching import matching_number_excluding
     from preclusion.solver import _Search
@@ -276,15 +276,25 @@ def _matched_edges(g, mates):
     return [g.edge_id(v, w) for v, w in enumerate(mates) if w > v]
 
 
+def _check_unmatched_deletions(g, dead, mates):
+    """Deleting an edge that the maximum matching ``mates`` of g - dead does
+    not use leaves it unchanged, and still maximum."""
+    matched = set(_matched_edges(g, mates))
+    for eid in set(range(g.m)) - dead - matched:
+        assert _check_incremental_rematch(g, dead | {eid}, mates, eid) == mates
+
+
 def test_incremental_rematching_is_exact():
     # Deleting one edge ab of a maximum matching M: any augmenting path for
-    # M - ab ends at a or b, so augmenting from a, then b, is exact.
+    # M - ab ends at a or b, so augmenting from a, then b, is exact. An edge
+    # M does not use leaves M maximum.
     from preclusion import find_bipartition, petersen, random_graph, with_bipartition
     from preclusion.matching import maximum_matching_mates
     for g in (petersen(), cycle(7), complete_bipartite(4, 4), hypercube(4)):
         mates = maximum_matching_mates(g)
         for eid in _matched_edges(g, mates):
             _check_incremental_rematch(g, frozenset({eid}), mates, eid)
+        _check_unmatched_deletions(g, frozenset(), mates)
     import random as _random
     rng = _random.Random(410)
     tagged = 0
@@ -295,14 +305,50 @@ def test_incremental_rematching_is_exact():
             g = with_bipartition(g)
             tagged += 1
         mates = maximum_matching_mates(g)
+        _check_unmatched_deletions(g, frozenset(), mates)
         # two levels deep, so the dead set also holds an edge that the
         # current matching no longer uses
         for first in _matched_edges(g, mates):
             dead = frozenset({first})
             child = _check_incremental_rematch(g, dead, mates, first)
+            _check_unmatched_deletions(g, dead, child)
             for second in _matched_edges(g, child):
                 _check_incremental_rematch(g, dead | {second}, child, second)
     assert tagged >= 10
+
+
+def test_one_matching_and_one_report_per_solve(monkeypatch):
+    # Every search node, lex-min candidates included, is one deletion step
+    # from the root, so a solve matches g from scratch once and takes at
+    # most one full components report before describing its witness.
+    from preclusion import petersen, solver
+    calls = {"maximum_matching_mates": 0, "components": 0}
+    before_evidence = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    evidence_for = solver.evidence_for
+
+    def evidence(g, witness):
+        before_evidence.append(dict(calls))
+        return evidence_for(g, witness)
+
+    monkeypatch.setattr(solver, "evidence_for", evidence)
+    for g in (hypercube(4), complete_bipartite(4, 4), petersen()):
+        for kind in (MP, mp_s(1), AK):
+            for deterministic in (False, True):
+                calls.update(dict.fromkeys(calls, 0))
+                before_evidence.clear()
+                assert solve(g, kind, deterministic=deterministic).feasible
+                expect = {"maximum_matching_mates": 1,
+                          "components": int(kind.has_side_condition)}
+                assert before_evidence == [expect], (g.edges, kind, deterministic)
 
 
 def test_deep_alternating_path_has_finite_certificates():
@@ -410,12 +456,27 @@ def test_side_rule_predicate_matches_components_from_scratch():
     assert precluding >= 100
 
 
+def _answer(cert):
+    return cert.value, cert.reason, cert.stats
+
+
 def test_oracle_sweep_never_calls_the_matching_search(monkeypatch):
-    from preclusion import matching, petersen, solver
+    from preclusion import matching, path, petersen, solver
     graphs = [petersen(), complete_bipartite(4, 4), build_reduction(cycle(4)).gadget]
     kinds = [MP, mp_s(1), mp_s(2), AK]
     expected = [(list(precluding_subsets(g, range(4))), first_qualifying_subsets(g, kinds))
                 for g in graphs]
+    infinite = [(complete_bipartite(1, 3), MP),                   # no near-perfect matching
+                (complete_bipartite(1, 3), AK),
+                (Graph(4, [(0, 1), (2, 3)]), AK),                 # disconnected
+                (path(4), AK), (complete_bipartite(1, 1), mp_s(1))]  # no qualifying set
+    expected_infinite = [_answer(brute_force_solve(g, kind)) for g, kind in infinite]
+    assert [reason for _, reason, _ in expected_infinite] == [
+        "graph has neither a perfect nor an almost perfect matching",
+        "graph has neither a perfect nor an almost perfect matching",
+        "graph is disconnected; edge deletion cannot restore connectivity",
+        "no anti-Kekule set exists",
+        "no 1-restricted matching preclusion set exists"]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle sweep called the optimizer's matching search")
@@ -428,6 +489,10 @@ def test_oracle_sweep_never_calls_the_matching_search(monkeypatch):
     for g, (subsets, firsts) in zip(graphs, expected):
         assert list(precluding_subsets(g, range(4))) == subsets
         assert first_qualifying_subsets(g, kinds) == firsts
+    # the oracle's INFINITY answers compute no evidence, so they too must
+    # not reach the engine
+    for (g, kind), cert in zip(infinite, expected_infinite):
+        assert _answer(brute_force_solve(g, kind)) == cert, (g.edges, kind)
 
 
 def _bound_corpus():

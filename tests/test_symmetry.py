@@ -123,29 +123,33 @@ def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
 
 def test_orbits_of_aut_g_in_place_of_gamma_give_a_wrong_answer(monkeypatch):
     # At a node with F = {e}, an automorphism of g that moves e maps a
-    # refuted child to a branch that was never refuted. Q3 is edge-transitive
-    # and mp_1(Q3) = 4, so every edge lies in some optimum.
-    from preclusion.solver import _Search, _Stats
-    q3 = hypercube(3)
+    # refuted child to a branch that was never refuted. Q4 is edge-transitive
+    # and mp_1(Q4) = 6, so every edge lies in some optimum; each search is
+    # the root's child that deletes e.
+    from preclusion.solver import _Search
+    q4 = hypercube(4)
     kind = mp_s(1)
 
     def found_through_each_edge():
         out = []
-        for e in range(q3.m):
-            found = _Search(q3, kind).decide(4, _Stats(), fault0=frozenset({e}))
+        for e in range(q4.m):
+            search = _Search(q4, kind)
+            fault = frozenset({e})
+            found = search._dfs(fault, frozenset(), search._mates_after(fault, search.mates, e),
+                                6, e)
             if found is not None:
-                assert e in found and len(found) == 4
-                assert is_s_restricted_set(q3, EdgeSet(q3, found), 1)
+                assert e in found and len(found) == 6
+                assert is_s_restricted_set(q4, EdgeSet(q4, found), 1)
             out.append(found is not None)
         return out
 
     assert all(found_through_each_edge())
     exact = _Search._edge_orbits
 
-    def aut_g_at_depth_one(self, fault, banned, stats):
+    def aut_g_at_depth_one(self, fault, banned):
         if len(fault) == 1:
             fault, banned = frozenset(), frozenset()
-        return exact(self, fault, banned, stats)
+        return exact(self, fault, banned)
 
     monkeypatch.setattr(_Search, "_edge_orbits", aut_g_at_depth_one)
     assert not all(found_through_each_edge())
