@@ -189,9 +189,18 @@ def emit(g: Graph, fmt: str) -> str:
     return _EMITTERS[fmt](g)
 
 
+# A JSON object opens with "{" and then, after optional whitespace, a key or
+# its closing brace. "{" alone is no sign of JSON: it is the graph6 size byte
+# of a 60-vertex graph, whose body may start with "}" (but never with '"' or
+# whitespace), so "{}" counts only as the whole input.
+_JSON_RE = re.compile(r'\s*\{\s*("|\}\s*$)')
+
+
 def detect_format(text: str) -> str:
-    """Guess between edge-list and graph6 input: a leading "n m" line means
-    edge list, anything else is treated as graph6."""
+    """Guess the input format: a JSON object, an edge list (a leading "n m"
+    line), or otherwise graph6."""
+    if _JSON_RE.match(text):
+        return "json"
     for line in text.splitlines():
         if line.strip():
             return "edge_list" if _HEADER_RE.match(line) else "graph6"

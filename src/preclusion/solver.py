@@ -34,6 +34,19 @@ preclusion", 2005). Only refuted subtrees are cut, so DFS order, values and
 witnesses are those of the plain enumeration; ``stats["bound_prunes"]``
 counts the k-dependent cuts, which keep deepening going like budget prunes.
 
+A child reuses its parent's M_2. At room 1 the packing asks one question:
+has g - F - U_1 a near-perfect matching? The answer depends on that graph
+alone, not on where the search for M_2 starts, so no prune moves when a node
+at room 1 repairs its parent's M_2 (free its edges in U_1, then augment) in
+place of growing M_2 from M_1 - U_1. The parent's M_2 avoids F, because the
+parent's U_1 held the edge this node deleted. A repaired M_2 may be wholly
+banned where a grown one was not; both refute the node, so only a cut moves
+between ``bound_prunes`` and the uncounted k-independent one. The children
+of a node at room 1 are leaves or budget prunes. When the parent's M_2 is
+near-perfect it is a near-perfect matching of g - F, so a child whose edge
+it avoids is no leaf: that child counts as a node and a budget prune, as
+before, without its Edmonds search.
+
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
 branching", Math. Programming 126, 2011) stops the search from refuting
 every symmetric image of a refuted branch again. Let Gamma be the
@@ -55,6 +68,20 @@ trivial); a node computes orbits only after a refuted child's subtree took
 at least m nodes; orbits are cached per (F, B) for the solve.
 ``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
 themselves, and ``stats["automorphisms"]`` the checked generators found.
+
+The lex-min pass reuses the refutations of round k*, the round that found
+the first set. Let node d on the path to that set hold F_d, and B_d, the
+banned set it held when it descended: its inherited bans, its refuted
+earlier children and their orbits. The root bans nothing, so by the
+induction that makes sibling and orbit bans exact, every qualifying set of
+size <= k* through F_d avoids B_d, not only those that avoid d's inherited
+bans. A lex-min candidate whose fault set holds F_d therefore bans B_d too,
+and one whose fault set meets B_d is refuted without a search. At d = 0 this
+skips the root's refuted children as position-0 candidates. These bans only
+cut subtrees with no qualifying set of size k*, so the answer is unchanged;
+since they change a candidate's banned set, they may change its Gamma and
+so its ``orbit_bans`` and ``automorphisms`` counts.
+``stats["lexmin_nodes"]`` counts the nodes the lex-min pass spent.
 
 ``brute_force_solve`` is the independent oracle: it enumerates edge subsets
 in increasing cardinality and tests each against an exhaustive list of the
@@ -278,7 +305,7 @@ class _Stats:
     """The search's counters, reported as ``stats`` under these names."""
 
     __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
-                 "automorphisms", "deepening_rounds")
+                 "automorphisms", "deepening_rounds", "lexmin_nodes")
 
     def __init__(self):
         for name in self.__slots__:
@@ -303,6 +330,9 @@ class _Search:
         self.stats = _Stats()
         self.symmetric: Optional[bool] = None  # refinement of g is not discrete
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
+        # (F, B) of each node above a set found, deepest first: its fault set
+        # and the banned set it held when it descended towards that set.
+        self.path: list[tuple[frozenset[int], frozenset[int]]] = []
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and stays so (shared, never
@@ -320,10 +350,6 @@ class _Search:
         if not augment_from(self.g, dead, mates, a) and -1 in parent_mates:
             augment_from(self.g, dead, mates, b)
         return mates
-
-    def _matched_edge_ids(self, mates: list[int]) -> list[int]:
-        edge_to = self.edge_to
-        return sorted(edge_to[v][w] for v, w in enumerate(mates) if w > v)
 
     def _side_holds(self, dead: frozenset[int], removed: Optional[int]) -> bool:
         """Whether g - dead meets the component floor. At the root
@@ -351,18 +377,19 @@ class _Search:
                 return False
         return True
 
-    def _packing_refutes(self, fault: frozenset[int], banned: frozenset[int],
-                         mates: list[int], room: int) -> bool:
+    def _packing_refutes(self, banned: frozenset[int], dead: set[int], second: list[int],
+                         room: int) -> bool:
         """Whether greedily packed near-perfect matchings M_1, M_2, ...
         with disjoint unbanned parts U_i prove that no qualifying set F + S,
         S avoiding ``banned`` with |S| <= ``room``, lies below this node
-        (see the module docstring). Only a refutation by more than ``room``
-        matchings depends on k, so only that one counts as a bound prune."""
+        (see the module docstring). The node's search found U_1, put F + U_1
+        in ``dead``, and found M_2 = ``second`` near-perfect, which is left
+        unchanged. Only a refutation by more than ``room`` matchings depends
+        on k, so only that one counts as a bound prune."""
         g = self.g
         edge_to = self.edge_to
-        dead = set(fault)
-        mates = mates.copy()
-        packed = 0
+        mates = second.copy()
+        packed = 1
         while True:
             freed = []
             for v, w in enumerate(mates):
@@ -381,7 +408,8 @@ class _Search:
                 return False
 
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
-             k: int, removed: Optional[int] = None) -> Optional[frozenset[int]]:
+             k: int, removed: Optional[int] = None,
+             warm: Optional[list[int]] = None) -> Optional[frozenset[int]]:
         stats = self.stats
         stats.nodes += 1
         leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
@@ -396,19 +424,52 @@ class _Search:
             return None
         if leaf:
             return fault
-        if self._packing_refutes(fault, banned, mates, k - len(fault)):
+        # The children are U_1, M's unbanned edges; with none, the node is
+        # refuted at every k. The packing bound starts from M_2, a maximum
+        # matching of g - F - U_1, grown from M_1 - U_1 or, at room 1, from
+        # the parent's M_2 (``warm``) less its edges in U_1; warm avoids F,
+        # since the parent's U_1 held the edge this node deleted.
+        edge_to = self.edge_to
+        children = [eid for v, w in enumerate(mates)
+                    if w > v and (eid := edge_to[v][w]) not in banned]
+        if not children:
             return None
+        g = self.g
+        edges = g.edges
+        odd = g.n % 2
+        room = k - len(fault)
+        dead = set(fault)
+        dead.update(children)
+        second = (warm if room == 1 and warm is not None else mates).copy()
+        for eid in children:
+            a, b = edges[eid]
+            if second[a] == b:
+                second[a] = second[b] = -1
+        if (maximize(g, dead, second, misses_allowed=odd)
+                and self._packing_refutes(banned, dead, second, room)):
+            return None
+        # Children at room 0 are leaves or budget prunes. One that the
+        # parent's M_2 avoids, when near-perfect, is no leaf (module docstring).
+        known = warm if room == 1 and warm is not None and warm.count(-1) <= odd else None
+        child_warm = second if room == 2 else None
         cur_banned = banned
         orbits = None
-        for eid in self._matched_edge_ids(mates):
+        children.sort()
+        for eid in children:
             if eid in cur_banned:
                 continue
-            child_fault = fault | {eid}
-            child_mates = self._mates_after(child_fault, mates, eid)
             start = stats.nodes
-            result = self._dfs(child_fault, cur_banned, child_mates, k, eid)
-            if result is not None:
-                return result
+            a, b = edges[eid]
+            if known is not None and known[a] != b:
+                stats.nodes += 1
+                stats.budget_prunes += 1
+            else:
+                child_fault = fault | {eid}
+                child_mates = self._mates_after(child_fault, mates, eid)
+                result = self._dfs(child_fault, cur_banned, child_mates, k, eid, child_warm)
+                if result is not None:
+                    self.path.append((fault, cur_banned))
+                    return result
             cur_banned = cur_banned | {eid}
             # Orbit bans (module docstring): once a refuted child's subtree
             # took m nodes, ban the orbits of every child refuted so far,
@@ -453,20 +514,34 @@ class _Search:
         With the positions P fixed, candidate e is P's child deleting e and
         banning every other index below e, so a set found avoids them, the
         incumbent always starts with P, and the last one is the answer. P is
-        walked down from the root, and needs no side check (module docstring)."""
+        walked down from the root, and needs no side check (module docstring).
+        A candidate whose fault set holds the F of a node on the path to
+        ``known`` also bans that node's B, or is refuted if it meets B."""
+        stats = self.stats
+        start = stats.nodes
+        # Candidates record paths of their own; their bans hold only in
+        # this pass's order, so only the round's path is used.
+        proved = tuple(self.path)
         witness = known
         best = sorted(known)
         prefix, mates = frozenset(), self.mates
         for pos in range(k):
             for e in range(best[pos - 1] + 1 if pos else 0, best[pos]):
                 fault = prefix | {e}
-                found = self._dfs(fault, frozenset(range(e)) - fault,
-                                  self._mates_after(fault, mates, e), k, e)
-                if found is not None:
-                    witness, best = found, sorted(found)
-                    break
+                banned = frozenset(range(e)) - fault
+                for f_d, b_d in proved:
+                    if f_d <= fault:
+                        if not fault.isdisjoint(b_d):
+                            break
+                        banned |= b_d
+                else:
+                    found = self._dfs(fault, banned, self._mates_after(fault, mates, e), k, e)
+                    if found is not None:
+                        witness, best = found, sorted(found)
+                        break
             prefix = prefix | {best[pos]}
             mates = self._mates_after(prefix, mates, best[pos])
+        stats.lexmin_nodes = stats.nodes - start
         return witness
 
 

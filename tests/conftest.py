@@ -23,6 +23,13 @@ def random_corpus(count: int, seed: int, n_choices=(4, 5, 6, 8, 10, 12),
     return out
 
 
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """``g`` under a random vertex permutation, edges re-indexed in sorted order."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+
+
 def random_even_corpus(count: int, seed: int, n_choices=(4, 6, 8), max_edges: int = 16):
     return random_corpus(count, seed, n_choices=n_choices, max_edges=max_edges)
 

@@ -10,11 +10,13 @@ the counterexamples rather than weakening the check.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 from preclusion import (
     EdgeSet,
@@ -205,9 +207,13 @@ def test_criterion_9_matching_oracle_equivalence():
 
 
 def _run_cli(*argv: str) -> tuple[int, str]:
+    # The child finds this checkout's package as the tests do.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run(
         [sys.executable, "-m", "preclusion.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout
 
 

@@ -77,12 +77,23 @@ def test_schema_gives_stats_a_shape(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "solve", str(path), "--mode", "mp")
     report = report_of(out)
     assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "bound_prunes",
-                                    "orbit_bans", "automorphisms", "deepening_rounds"}
+                                    "orbit_bans", "automorphisms", "deepening_rounds",
+                                    "lexmin_nodes"}
     validate_schema(report)
     for broken in ({"nodes": 1}, dict(report["stats"], nodes=-1),
                    dict(report["stats"], side_prunes="0"), []):
         with pytest.raises(jsonschema.ValidationError):
             validate_schema(dict(report, stats=broken))
+
+
+def test_solve_reads_the_json_gen_writes(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "gen", "cycle", "6", "--format", "json")
+    assert code == 0
+    path = tmp_path / "c6.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert code == 0, err
+    assert report_of(out)["result"]["value"] == 2
 
 
 def test_solve_reads_graph6_stdin(capsys, monkeypatch):

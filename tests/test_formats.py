@@ -93,6 +93,21 @@ def test_detect_format():
     assert detect_format("\n  \nGr`HOk\n") == "graph6"
 
 
+def test_detect_format_reads_json_but_not_a_60_vertex_graph6():
+    assert detect_format(emit(cycle(6), "json")) == "json"
+    assert detect_format(' \n{\n  "n": 2, "edges": [[0, 1]]}') == "json"
+    assert detect_format("{ }") == detect_format("{}\n") == "json"
+    # "{" is the graph6 size byte of n = 60, and "}" a valid first body byte
+    from preclusion import Graph
+    g = Graph(60, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    text = emit(g, "graph6")
+    assert text.startswith("{}")
+    assert detect_format(text) == "graph6"
+    assert parse(detect_format(text), text) == g
+    sixty = emit(Graph(60, []), "graph6")
+    assert sixty.startswith("{?") and detect_format(sixty) == "graph6"
+
+
 def _fuzz_text(rng, seeds, alphabet):
     """A random string over ``alphabet``, or a valid encoding with a few
     characters replaced, inserted or deleted."""

@@ -192,7 +192,9 @@ def test_deterministic_witness_matches_oracle_witness():
         if find_bipartition(g) is not None:
             candidates.append(with_bipartition(g))
         for graph in candidates:
-            for kind in (MP, mp_s(1)):
+            for kind in (MP, mp_s(1), mp_s(2), AK):
+                if kind == AK and graph.n % 2:
+                    continue
                 oracle = brute_force_solve(graph, kind)
                 if not oracle.feasible:
                     continue
@@ -524,6 +526,57 @@ def test_packing_bound_changes_only_stats(monkeypatch):
         assert plain.stats["bound_prunes"] == 0
         pruned += cert.stats["bound_prunes"] > 0
     assert pruned >= len(runs) // 4
+
+
+def test_reuse_changes_only_stats(monkeypatch):
+    # The lex-min pass's bans from round k*'s path and the children's start
+    # from their parent's M_2 only skip work whose outcome is known, so with
+    # both off every answer is the same; only the work done may move.
+    import random as _random
+    from preclusion import matching, solver
+    from preclusion.solver import _Search
+    from conftest import relabel
+    searches = [0]
+    for module in (matching, solver):
+        def counted(*args, _search=module.augment_from):
+            searches[0] += 1
+            return _search(*args)
+        monkeypatch.setattr(module, "augment_from", counted)
+    rng = _random.Random(418)
+    graphs = _bound_corpus() + [relabel(g, rng) for g in (hypercube(3), hypercube(3),
+                                                          complete_bipartite(4, 4),
+                                                          complete_bipartite(4, 4))]
+    runs = []
+    for g in graphs:
+        for kind in (MP, mp_s(1), mp_s(2), AK):
+            if kind == AK and g.n % 2:
+                continue
+            for deterministic in (False, True):
+                runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
+    reused_searches, searches[0] = searches[0], 0
+    lex_min, dfs = _Search._lex_min_witness, _Search._dfs
+
+    def without_path_bans(self, k, known):
+        self.path.clear()
+        return lex_min(self, k, known)
+
+    def without_warm(self, fault, banned, mates, k, removed=None, warm=None):
+        return dfs(self, fault, banned, mates, k, removed)
+
+    monkeypatch.setattr(_Search, "_lex_min_witness", without_path_bans)
+    monkeypatch.setattr(_Search, "_dfs", without_warm)
+    reused = plain = 0
+    for g, kind, deterministic, cert in runs:
+        other = solve(g, kind, deterministic=deterministic)
+        assert (cert.value, cert.reason) == (other.value, other.reason), (g.edges, kind)
+        if cert.feasible:
+            assert cert.witness.members == other.witness.members, (g.edges, kind)
+        if not deterministic:
+            assert cert.stats["lexmin_nodes"] == 0
+        reused += cert.stats["nodes"]
+        plain += other.stats["nodes"]
+    assert reused < plain
+    assert reused_searches < searches[0]
 
 
 def test_local_side_check_matches_components():

@@ -21,13 +21,7 @@ from preclusion import (
 from preclusion import symmetry
 from preclusion.reduction import build_reduction
 from preclusion.symmetry import automorphisms, edge_orbits, is_automorphism
-
-
-def relabel(g, rng):
-    """``g`` under a random vertex permutation, edges re-indexed in sorted order."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+from conftest import relabel
 
 
 def frucht():
