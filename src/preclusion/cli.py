@@ -173,11 +173,11 @@ def cmd_reduce(parser, args) -> int:
     result = {"gadget": gadget}
     ok = True
     if args.check is not None:
-        eq = verify_equivalence(g, args.check, s=args.s or 1,
-                                source_limit=max(16, g.m))
+        s = 1 if args.s is None else args.s
+        eq = verify_equivalence(g, args.check, s=s, source_limit=max(16, g.m))
         result["equivalence"] = {
             "k": args.check,
-            "s": args.s or 1,
+            "s": s,
             "left": eq.left,
             "right_ak": eq.right_ak,
             "right_mps": eq.right_mps,
@@ -230,7 +230,7 @@ def _verify_lemma4(args) -> tuple[dict, bool]:
 
 def _verify_chain(args) -> tuple[dict, bool]:
     seed = args.params[0] if len(args.params) > 0 else (args.seed or 0)
-    count = args.params[1] if len(args.params) > 1 else (args.count or 100)
+    count = args.params[1] if len(args.params) > 1 else (100 if args.count is None else args.count)
     out = chain_suite(seed, count, jobs=args.jobs)
     out["suite"] = "chain"
     out["seed"] = seed
@@ -239,7 +239,7 @@ def _verify_chain(args) -> tuple[dict, bool]:
 
 def _verify_reduction_fuzz(args) -> tuple[dict, bool]:
     seed = args.params[0] if len(args.params) > 0 else (args.seed or 0)
-    count = args.params[1] if len(args.params) > 1 else (args.count or 200)
+    count = args.params[1] if len(args.params) > 1 else (200 if args.count is None else args.count)
     out = fuzz_equivalence(seed, count)
     out["suite"] = "reduction-fuzz"
     out["seed"] = seed
@@ -261,9 +261,15 @@ def cmd_verify(parser, args) -> int:
     if len(args.params) < needed:
         parser.error(f"suite {args.suite!r} needs {needed} parameter(s)")
     result, passed = runner(args)
+    command = ["verify", args.suite] + [str(p) for p in args.params]
+    for flag in ("seed", "count"):
+        if getattr(args, flag) is not None:
+            command += [f"--{flag}", str(getattr(args, flag))]
+    if args.slow:
+        command.append("--slow")
     report = _report(
         args,
-        command=["verify", args.suite] + [str(p) for p in args.params],
+        command=command,
         input_summary={"n": None, "m": None, "family": args.suite},
         result=result,
         started=started,
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute a preclusion certificate")
     p_solve.add_argument("input", nargs="?", default="-",
-                         help="graph file (edge list or graph6); '-' for stdin")
+                         help="graph file (JSON, edge list or graph6); '-' for stdin")
     p_solve.add_argument("--mode", choices=["mp", "mps", "ak"], required=True)
     p_solve.add_argument("--s", type=int, default=None,
                          help="restriction level for --mode mps")
@@ -339,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="build the gadget for a bipartite source")
-    p_reduce.add_argument("input", nargs="?", default="-")
+    p_reduce.add_argument("input", nargs="?", default="-",
+                          help="bipartite graph file (JSON, edge list or graph6); '-' for stdin")
     p_reduce.add_argument("--check", type=int, default=None, metavar="K",
                           help="also verify the equivalence at budget K via the oracle")
     p_reduce.add_argument("--s", type=int, default=None,

@@ -225,10 +225,12 @@ def super_connectivity_report(n: int, samples: int = 100_000, seed: int = 0) -> 
     """Check the corrected connectivity statement on size-(2n-2) fault sets:
     every fault set that is neither an incident-pair cut nor a superset of a
     vertex star leaves the n-cube connected. Exhaustive for n=3, seeded
-    random sampling otherwise. The literal-form counterexample is rebuilt
-    and reported alongside."""
+    random sampling of ``samples`` sets otherwise, reported with its seed.
+    The literal-form counterexample is rebuilt and reported alongside."""
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples}")
     g = hypercube(n)
     size = 2 * n - 2
     pair_cuts = _incident_pair_cuts(g)
@@ -263,7 +265,7 @@ def super_connectivity_report(n: int, samples: int = 100_000, seed: int = 0) -> 
         "contains_vertex_star": _contains_vertex_star(cx_graph, cx.members),
         "connected_after": check_connected_after(cx_graph, cx),
     }
-    return {
+    report = {
         "n": n,
         "fault_size": size,
         "mode": mode,
@@ -273,6 +275,9 @@ def super_connectivity_report(n: int, samples: int = 100_000, seed: int = 0) -> 
         "literal_counterexample": counterexample,
         "passed": not failures,
     }
+    if mode == "sampled":
+        report["seed"] = seed
+    return report
 
 
 def verify_trivial_conditional_connected(n: int) -> bool:

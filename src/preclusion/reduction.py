@@ -187,6 +187,10 @@ def verify_equivalence(g: Graph, k: int, s: int = 1,
                        source_limit: int = ORACLE_EDGE_LIMIT) -> EquivalenceCheck:
     """Check, purely with the brute-force oracle, that mp(G) <= k iff
     ak(G') <= k+1 iff mp_s(G') <= k+1 for the gadget G' of ``g``."""
+    if k < 0:
+        raise ParameterError(f"budget must be >= 0, got {k}")
+    if s < 1:
+        raise ParameterError(f"restriction level must be >= 1, got {s}")
     if g.m > source_limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {source_limit}")
     r = build_reduction(g)
@@ -207,6 +211,8 @@ def fuzz_equivalence(seed: int, count: int, s_values: Sequence[int] = (1, 2),
     disagreements found."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if any(s < 1 for s in s_values):
+        raise ParameterError(f"restriction levels must be >= 1, got {list(s_values)}")
     rng = random.Random(seed)
     disagreements = []
     checks = 0

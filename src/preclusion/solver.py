@@ -34,18 +34,14 @@ preclusion", 2005). Only refuted subtrees are cut, so DFS order, values and
 witnesses are those of the plain enumeration; ``stats["bound_prunes"]``
 counts the k-dependent cuts, which keep deepening going like budget prunes.
 
-A child reuses its parent's M_2. At room 1 the packing asks one question:
-has g - F - U_1 a near-perfect matching? The answer depends on that graph
-alone, not on where the search for M_2 starts, so no prune moves when a node
-at room 1 repairs its parent's M_2 (free its edges in U_1, then augment) in
-place of growing M_2 from M_1 - U_1. The parent's M_2 avoids F, because the
-parent's U_1 held the edge this node deleted. A repaired M_2 may be wholly
-banned where a grown one was not; both refute the node, so only a cut moves
-between ``bound_prunes`` and the uncounted k-independent one. The children
-of a node at room 1 are leaves or budget prunes. When the parent's M_2 is
-near-perfect it is a near-perfect matching of g - F, so a child whose edge
-it avoids is no leaf: that child counts as a node and a budget prune, as
-before, without its Edmonds search.
+A child grows its M_2 from its parent's M_2 less its edges in U_1. The
+parent's M_2 avoids F, because the parent's U_1 held the edge this node
+deleted, so that is a matching of g - F - U_1, and any matching is a valid
+start: every packing found is a sound bound, and the start only decides which
+one is found. The children of a node at room 1 are leaves or budget prunes.
+When its parent's M_2 is near-perfect it is a near-perfect matching of
+g - F, so the node hands it on, and a child whose edge it avoids is no leaf:
+that child counts as a node and a budget prune without its Edmonds search.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
 branching", Math. Programming 126, 2011) stops the search from refuting
@@ -61,11 +57,10 @@ ban repeats a refutation of this round, so a round that no budget or bound
 cut shaped makes bans that hold at every k, and the deepening stop rule
 stays exact. The first qualifying set in DFS order contains no banned edge,
 so the search still returns it. ``symmetry.automorphisms`` finds the
-generators of Gamma and checks each one. Three fixed rules keep the cost
-where the search has already spent as much: g's colour refinement runs once
-per solve, lazily, and a discrete one ends all symmetry work (Gamma is then
-trivial); a node computes orbits only after a refuted child's subtree took
-at least m nodes; orbits are cached per (F, B) for the solve.
+generators of Gamma and checks each one, and returns after one refinement
+when that is discrete. Two fixed rules keep the cost where the search has
+already spent as much: a node computes orbits only after a refuted child's
+subtree took at least m nodes, and orbits are cached per (F, B) for the solve.
 ``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
 themselves, and ``stats["automorphisms"]`` the checked generators found.
 
@@ -328,7 +323,6 @@ class _Search:
         self.mates = maximum_matching_mates(g)
         self.root_side = not self.has_side or kind.side_holds(components(g))
         self.stats = _Stats()
-        self.symmetric: Optional[bool] = None  # refinement of g is not discrete
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
         # (F, B) of each node above a set found, deepest first: its fault set
         # and the banned set it held when it descended towards that set.
@@ -377,43 +371,27 @@ class _Search:
                 return False
         return True
 
-    def _packing_refutes(self, banned: frozenset[int], dead: set[int], second: list[int],
-                         room: int) -> bool:
-        """Whether greedily packed near-perfect matchings M_1, M_2, ...
-        with disjoint unbanned parts U_i prove that no qualifying set F + S,
-        S avoiding ``banned`` with |S| <= ``room``, lies below this node
-        (see the module docstring). The node's search found U_1, put F + U_1
-        in ``dead``, and found M_2 = ``second`` near-perfect, which is left
-        unchanged. Only a refutation by more than ``room`` matchings depends
-        on k, so only that one counts as a bound prune."""
-        g = self.g
-        edge_to = self.edge_to
-        mates = second.copy()
-        packed = 1
-        while True:
-            freed = []
-            for v, w in enumerate(mates):
-                if w > v and edge_to[v][w] not in banned:
-                    dead.add(edge_to[v][w])
-                    freed += (v, w)
-            if not freed:
-                return True
-            packed += 1
-            if packed > room:
-                self.stats.bound_prunes += 1
-                return True
-            for v in freed:
-                mates[v] = -1
-            if not maximize(g, dead, mates, misses_allowed=g.n % 2):
-                return False
-
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
              k: int, removed: Optional[int] = None,
              warm: Optional[list[int]] = None) -> Optional[frozenset[int]]:
+        """The first qualifying set of size <= ``k`` below the node that
+        deletes the edge ``removed`` from its parent, which holds the fault
+        set ``fault`` and the maximum matching ``mates`` (the root: no edge,
+        and g's own), avoiding ``banned``; None if there is none. ``warm`` is
+        the parent's M_2 or, at room 0, a near-perfect matching of g - F
+        (module docstring)."""
         stats = self.stats
         stats.nodes += 1
+        if removed is not None:
+            a, b = self.g.edges[removed]
+            if warm is not None and len(fault) + 1 == k and warm[a] != b:
+                stats.budget_prunes += 1
+                return None
+            fault = fault | {removed}
+            mates = self._mates_after(fault, mates, removed)
+        room = k - len(fault)
         leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
-        if not leaf and len(fault) >= k:
+        if not leaf and room <= 0:
             stats.budget_prunes += 1
             return None
         # The side rule is antitone under further deletion, so a violation
@@ -424,34 +402,44 @@ class _Search:
             return None
         if leaf:
             return fault
-        # The children are U_1, M's unbanned edges; with none, the node is
-        # refuted at every k. The packing bound starts from M_2, a maximum
-        # matching of g - F - U_1, grown from M_1 - U_1 or, at room 1, from
-        # the parent's M_2 (``warm``) less its edges in U_1; warm avoids F,
-        # since the parent's U_1 held the edge this node deleted.
-        edge_to = self.edge_to
-        children = [eid for v, w in enumerate(mates)
-                    if w > v and (eid := edge_to[v][w]) not in banned]
-        if not children:
-            return None
+        # The packing bound (module docstring): M_1 is the node's matching,
+        # and its unbanned part U_1 holds the children. M_2 starts from warm,
+        # the parent's M_2, and each later M_(i+1) from M_i, less U_i.
         g = self.g
         edges = g.edges
+        edge_to = self.edge_to
         odd = g.n % 2
-        room = k - len(fault)
         dead = set(fault)
-        dead.update(children)
-        second = (warm if room == 1 and warm is not None else mates).copy()
-        for eid in children:
-            a, b = edges[eid]
-            if second[a] == b:
-                second[a] = second[b] = -1
-        if (maximize(g, dead, second, misses_allowed=odd)
-                and self._packing_refutes(banned, dead, second, room)):
-            return None
-        # Children at room 0 are leaves or budget prunes. One that the
-        # parent's M_2 avoids, when near-perfect, is no leaf (module docstring).
-        known = warm if room == 1 and warm is not None and warm.count(-1) <= odd else None
-        child_warm = second if room == 2 else None
+        packing = mates
+        packed = 0
+        children = second = None
+        while True:
+            unbanned = [eid for v, w in enumerate(packing)
+                        if w > v and (eid := edge_to[v][w]) not in banned]
+            if not unbanned:
+                return None
+            packed += 1
+            if packed > room:
+                stats.bound_prunes += 1
+                return None
+            dead.update(unbanned)
+            if children is None:
+                children = unbanned
+                packing = second = (mates if warm is None else warm).copy()
+            else:
+                packing = packing.copy()
+            for eid in unbanned:
+                a, b = edges[eid]
+                if packing[a] == b:
+                    packing[a] = packing[b] = -1
+            if not maximize(g, dead, packing, misses_allowed=odd):
+                break
+        # Children at room 0 are leaves or budget prunes: a near-perfect
+        # warm settles those whose edge it avoids.
+        if room > 1:
+            warm = second
+        elif warm is not None and warm.count(-1) > odd:
+            warm = None
         cur_banned = banned
         orbits = None
         children.sort()
@@ -459,24 +447,17 @@ class _Search:
             if eid in cur_banned:
                 continue
             start = stats.nodes
-            a, b = edges[eid]
-            if known is not None and known[a] != b:
-                stats.nodes += 1
-                stats.budget_prunes += 1
-            else:
-                child_fault = fault | {eid}
-                child_mates = self._mates_after(child_fault, mates, eid)
-                result = self._dfs(child_fault, cur_banned, child_mates, k, eid, child_warm)
-                if result is not None:
-                    self.path.append((fault, cur_banned))
-                    return result
+            result = self._dfs(fault, cur_banned, mates, k, eid, warm)
+            if result is not None:
+                self.path.append((fault, cur_banned))
+                return result
             cur_banned = cur_banned | {eid}
             # Orbit bans (module docstring): once a refuted child's subtree
             # took m nodes, ban the orbits of every child refuted so far,
             # and from then on the orbit of each refuted child.
             if orbits is not None:
                 grown = cur_banned | orbits[eid]
-            elif stats.nodes - start >= self.m and self._is_symmetric():
+            elif stats.nodes - start >= self.m:
                 orbits = self._edge_orbits(fault, banned)
                 grown = cur_banned.union(*(orbits[e] for e in cur_banned - banned))
             else:
@@ -484,15 +465,6 @@ class _Search:
             stats.orbit_bans += len(grown) - len(cur_banned)
             cur_banned = grown
         return None
-
-    def _is_symmetric(self) -> bool:
-        """Whether g may have automorphisms; settled once, by refinement.
-        ``symmetry`` is imported on first use, so importing the package and
-        the many solves that never reach the gate do not pay for it."""
-        if self.symmetric is None:
-            from .symmetry import refines_to_discrete
-            self.symmetric = not refines_to_discrete(self.g)
-        return self.symmetric
 
     def _edge_orbits(self, fault: frozenset[int],
                      banned: frozenset[int]) -> tuple[frozenset[int], ...]:
@@ -535,7 +507,7 @@ class _Search:
                             break
                         banned |= b_d
                 else:
-                    found = self._dfs(fault, banned, self._mates_after(fault, mates, e), k, e)
+                    found = self._dfs(prefix, banned, mates, k, e)
                     if found is not None:
                         witness, best = found, sorted(found)
                         break

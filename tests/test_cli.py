@@ -156,6 +156,19 @@ def test_reduce_k2_with_check(tmp_path, capsys):
     validate_schema(report)
 
 
+def test_reduce_check_takes_s_as_given_and_rejects_bad_values(tmp_path, capsys):
+    # --s 0 is checked as s = 0, which verify_equivalence rejects, not as
+    # the default s = 1; a negative budget is rejected too.
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    for flags in (("--check", "1", "--s", "0"), ("--check", "-1")):
+        code, out, err = run_cli(capsys, "reduce", str(path), *flags)
+        assert code == 2 and out == "" and "error" in err, flags
+    code, out, _ = run_cli(capsys, "reduce", str(path), "--check", "1", "--s", "2")
+    assert code == 0
+    assert report_of(out)["result"]["equivalence"]["s"] == 2
+
+
 def test_reduce_g6_output(tmp_path, capsys):
     path = tmp_path / "k2.txt"
     path.write_text("2 1\n0 1\n")
@@ -205,7 +218,30 @@ def test_verify_lemma5_q3_reports_counterexamples(capsys):
 def test_verify_lemma5_q4_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma5", "4", "--count", "5000", "--seed", "1")
     assert code == 0
-    assert report_of(out)["result"]["passed"]
+    report = report_of(out)
+    assert report["result"]["passed"]
+    assert report["result"]["seed"] == 1 and report["result"]["checked"] == 5000
+    # The flags that pick the sample are echoed, so the report can be re-run.
+    assert report["command"] == ["verify", "lemma5", "4", "--seed", "1", "--count", "5000"]
+    validate_schema(report)
+
+
+def test_verify_rejects_an_empty_sample(capsys):
+    # --count 0 is an empty run, not a request for the default count.
+    for suite, params in (("lemma5", ["4"]), ("chain", ["1"]), ("reduction-fuzz", ["1"])):
+        for count in ("0", "-1"):
+            code, out, err = run_cli(capsys, "verify", suite, *params, "--count", count)
+            assert code == 2 and out == "" and "must be >= 1" in err, (suite, count)
+
+
+def test_verify_command_echoes_slow_and_nothing_unasked(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lemma4", "3", "--slow", "--jobs", "2")
+    assert code == 0
+    assert report_of(out)["command"] == ["verify", "lemma4", "3", "--slow"]
+    code, out, _ = run_cli(capsys, "verify", "lemma5", "3")
+    report = report_of(out)
+    assert report["command"] == ["verify", "lemma5", "3"]
+    assert "seed" not in report["result"]  # exhaustive: no sample to seed
 
 
 def test_verify_chain(capsys):

@@ -188,6 +188,12 @@ def test_super_connectivity_q4_sampled_passes():
     assert report["counts"]["other"] > 0
 
 
+def test_super_connectivity_rejects_an_empty_sample():
+    for samples in (0, -1):
+        with pytest.raises(ParameterError):
+            super_connectivity_report(4, samples=samples)
+
+
 def test_trivial_conditional_sets_never_disconnect():
     for n in (3, 4):
         assert verify_trivial_conditional_connected(n)

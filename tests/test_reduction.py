@@ -7,6 +7,7 @@ from preclusion import (
     EdgeSet,
     Graph,
     MP,
+    ParameterError,
     PreconditionError,
     backward_extract,
     brute_force_solve,
@@ -193,6 +194,18 @@ def test_verify_equivalence_k33():
     assert eq.agree
     eq3 = verify_equivalence(complete_bipartite(3, 3), 3)
     assert eq3.left and eq3.agree
+
+
+def test_equivalence_checks_reject_vacuous_parameters():
+    # s = 0 puts no floor on the gadget's components, so the equivalence
+    # fails there (mp_0(C_4') <= 2 but mp(C_4) = 2 > 1); it is not a
+    # level the reduction covers, and a negative budget checks nothing.
+    for k, s in ((-1, 1), (1, 0), (1, -1)):
+        with pytest.raises(ParameterError):
+            verify_equivalence(cycle(4), k, s=s)
+    for s_values in ((0,), (1, 0)):
+        with pytest.raises(ParameterError):
+            fuzz_equivalence(seed=1, count=1, s_values=s_values)
 
 
 def test_gadget_values_track_source_value():

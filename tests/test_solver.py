@@ -506,8 +506,9 @@ def _bound_corpus():
 
 def test_packing_bound_changes_only_stats(monkeypatch):
     # The bound prunes only subtrees with no qualifying set, so DFS finds
-    # the same first set with or without it, lex-min or not.
-    from preclusion.solver import _Search
+    # the same first set with or without it, lex-min or not. With no
+    # near-perfect M_2, the packing never gets past U_1.
+    from preclusion import solver
     runs = []
     for g in _bound_corpus():
         for kind in (MP, mp_s(1), mp_s(2), AK):
@@ -515,7 +516,7 @@ def test_packing_bound_changes_only_stats(monkeypatch):
                 continue
             for deterministic in (False, True):
                 runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
-    monkeypatch.setattr(_Search, "_packing_refutes", lambda self, *args: False)
+    monkeypatch.setattr(solver, "maximize", lambda *args, **kwargs: False)
     pruned = 0
     for g, kind, deterministic, cert in runs:
         plain = solve(g, kind, deterministic=deterministic)

@@ -128,9 +128,7 @@ def test_orbits_of_aut_g_in_place_of_gamma_give_a_wrong_answer(monkeypatch):
         out = []
         for e in range(q4.m):
             search = _Search(q4, kind)
-            fault = frozenset({e})
-            found = search._dfs(fault, frozenset(), search._mates_after(fault, search.mates, e),
-                                6, e)
+            found = search._dfs(frozenset(), frozenset(), search.mates, 6, e)
             if found is not None:
                 assert e in found and len(found) == 6
                 assert is_s_restricted_set(q4, EdgeSet(q4, found), 1)
@@ -173,7 +171,6 @@ def test_orbit_pruning_changes_only_stats(monkeypatch):
     # Orbit bans cut only branches with no qualifying set, so DFS finds the
     # same first set with or without them, lex-min or not; both agree with
     # the oracle where it reaches.
-    from preclusion.solver import _Search
     runs = []
     for g in _symmetric_corpus():
         for kind in (MP, mp_s(1), mp_s(2), AK):
@@ -183,7 +180,7 @@ def test_orbit_pruning_changes_only_stats(monkeypatch):
             for deterministic in (False, True):
                 runs.append((g, kind, deterministic, oracle,
                              solve(g, kind, deterministic=deterministic)))
-    monkeypatch.setattr(_Search, "_is_symmetric", lambda self: False)
+    monkeypatch.setattr(symmetry, "automorphisms", lambda g, fixed=(): [])
     banning = 0
     for g, kind, deterministic, oracle, cert in runs:
         plain = solve(g, kind, deterministic=deterministic)
