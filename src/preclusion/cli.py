@@ -107,11 +107,22 @@ def _emit_report(report: RunReport) -> None:
     sys.stdout.write(report.to_json())
 
 
+def _echo(args: argparse.Namespace, *names: str) -> list:
+    """``--name value`` for each option in ``names`` given a value, for a
+    report's ``command``."""
+    out = []
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            out += ["--" + name.replace("_", "-"), str(value)]
+    return out
+
+
 def _kind_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    if args.mode == "mp":
-        return MP
-    if args.mode == "ak":
-        return AK
+    if args.mode != "mps":
+        if args.s is not None:
+            parser.error(f"--s applies only to --mode mps, not --mode {args.mode}")
+        return MP if args.mode == "mp" else AK
     if args.s is None:
         parser.error("--mode mps requires --s")
     return mp_s(args.s)
@@ -133,14 +144,9 @@ def cmd_solve(parser, args) -> int:
     kind = _kind_from_args(parser, args)
     cert = solve(g, kind, budget=args.budget, deterministic=args.deterministic,
                  jobs=args.jobs)
-    command = ["solve", "--mode", args.mode]
-    if args.mode == "mps":
-        command += ["--s", str(args.s)]
-    if args.budget is not None:
-        command += ["--budget", str(args.budget)]
     report = _report(
         args,
-        command=command,
+        command=["solve", "--mode", args.mode] + _echo(args, "s", "budget"),
         input_summary={"n": g.n, "m": g.m, "family": None},
         result=certificate_to_dict(cert),
         started=started,
@@ -152,6 +158,8 @@ def cmd_solve(parser, args) -> int:
 
 def cmd_reduce(parser, args) -> int:
     started = time.perf_counter()
+    if args.s is not None and args.check is None:
+        parser.error("--s applies only with --check")
     g = _read_graph(args.input)
     r = build_reduction(g)
     gadget: dict = {
@@ -186,7 +194,7 @@ def cmd_reduce(parser, args) -> int:
         ok = eq.agree
     report = _report(
         args,
-        command=["reduce"] + (["--check", str(args.check)] if args.check is not None else []),
+        command=["reduce"] + _echo(args, "check", "s", "format"),
         input_summary={"n": g.n, "m": g.m, "family": None},
         result=result,
         started=started,
@@ -246,25 +254,33 @@ def _verify_reduction_fuzz(args) -> tuple[dict, bool]:
     return out, out["passed"]
 
 
+# Each suite's runner, how many of its positional parameters it needs, their
+# names in order, and the flags it reads (every suite takes --jobs and
+# --deterministic).
 _SUITES = {
-    "hypercube": (_verify_hypercube, 2),
-    "lemma5": (_verify_lemma5, 1),
-    "lemma4": (_verify_lemma4, 1),
-    "chain": (_verify_chain, 0),
-    "reduction-fuzz": (_verify_reduction_fuzz, 0),
+    "hypercube": (_verify_hypercube, 2, ("n", "s"), ()),
+    "lemma5": (_verify_lemma5, 1, ("n",), ("seed", "count")),
+    "lemma4": (_verify_lemma4, 1, ("n",), ("slow",)),
+    "chain": (_verify_chain, 0, ("seed", "count"), ("seed", "count")),
+    "reduction-fuzz": (_verify_reduction_fuzz, 0, ("seed", "count"), ("seed", "count")),
 }
 
 
 def cmd_verify(parser, args) -> int:
     started = time.perf_counter()
-    runner, needed = _SUITES[args.suite]
-    if len(args.params) < needed:
-        parser.error(f"suite {args.suite!r} needs {needed} parameter(s)")
+    runner, needed, names, takes = _SUITES[args.suite]
+    if not needed <= len(args.params) <= len(names):
+        arity = needed if needed == len(names) else f"{needed} to {len(names)}"
+        parser.error(f"suite {args.suite!r} takes {arity} parameter(s)")
+    given = [flag for flag in ("seed", "count") if getattr(args, flag) is not None]
+    given += ["slow"] if args.slow else []
+    for flag in given:
+        if flag not in takes:
+            parser.error(f"suite {args.suite!r} does not take --{flag}")
+        if flag in names[:len(args.params)]:
+            parser.error(f"--{flag} repeats the {flag} given as a parameter")
     result, passed = runner(args)
-    command = ["verify", args.suite] + [str(p) for p in args.params]
-    for flag in ("seed", "count"):
-        if getattr(args, flag) is not None:
-            command += [f"--{flag}", str(getattr(args, flag))]
+    command = ["verify", args.suite] + [str(p) for p in args.params] + _echo(args, "seed", "count")
     if args.slow:
         command.append("--slow")
     report = _report(
@@ -282,7 +298,9 @@ def cmd_bench(parser, args) -> int:
     started = time.perf_counter()
     kind = _kind_from_args(parser, args)
     rows = []
-    for n in range(args.min_n, args.max_n + 1):
+    min_n = 2 if args.min_n is None else args.min_n
+    max_n = 3 if args.max_n is None else args.max_n
+    for n in range(min_n, max_n + 1):
         g = hypercube(n)
         t0 = time.perf_counter()
         cert = solve(g, kind, deterministic=args.deterministic, jobs=args.jobs)
@@ -303,7 +321,7 @@ def cmd_bench(parser, args) -> int:
         return 0
     report = _report(
         args,
-        command=["bench", args.mode],
+        command=["bench", "--mode", args.mode] + _echo(args, "s", "min_n", "max_n"),
         input_summary={"n": None, "m": None, "family": "hypercube"},
         result={"rows": rows},
         started=started,
@@ -351,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also verify the equivalence at budget K via the oracle")
     p_reduce.add_argument("--s", type=int, default=None,
                           help="restriction level for the --check equivalence")
-    p_reduce.add_argument("--format", choices=["g6", "json"], default="json")
+    p_reduce.add_argument("--format", choices=["g6", "json"], default=None,
+                          help="gadget encoding (default json)")
     p_reduce.add_argument("--deterministic", action="store_true")
     p_reduce.set_defaults(func=cmd_reduce)
 
@@ -370,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the solver over a hypercube sweep")
     p_bench.add_argument("--mode", choices=["mp", "mps", "ak"], default="mp")
     p_bench.add_argument("--s", type=int, default=None)
-    p_bench.add_argument("--min-n", type=int, default=2)
-    p_bench.add_argument("--max-n", type=int, default=3)
+    p_bench.add_argument("--min-n", type=int, default=None, help="default 2")
+    p_bench.add_argument("--max-n", type=int, default=None, help="default 3")
     p_bench.add_argument("--csv", action="store_true")
     p_bench.add_argument("--deterministic", action="store_true")
     p_bench.add_argument("--jobs", type=int, default=1,
@@ -384,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Checked here, not only in solve, so suites that never solve reject it too.
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(parser, args)
     except PreclusionError as exc:

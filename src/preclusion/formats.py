@@ -40,10 +40,9 @@ def emit_graph6(g: Graph) -> str:
             out.append(chr(((g.n >> shift) & 0x3F) + 63))
     bits = 0
     nbits = 0
-    adjacency = {pair: True for pair in g.edges}
     for j in range(1, g.n):
         for i in range(j):
-            bits = (bits << 1) | (1 if (i, j) in adjacency else 0)
+            bits = (bits << 1) | (j in g.edge_to[i])
             nbits += 1
             if nbits == 6:
                 out.append(chr(bits + 63))

@@ -3,8 +3,10 @@ and connected-component queries.
 
 Vertices are dense integers ``0..n-1``. Edges receive stable indices
 ``0..m-1`` in construction order, so fault sets and matchings can be held
-as small index sets (or bitmasks in hot loops). Graphs are immutable after
-construction and safe to share across threads.
+as small index sets (or bitmasks in hot loops). ``Graph.adj`` is the
+adjacency to iterate, in neighbour order; ``Graph.edge_to`` is the one index
+from a vertex pair to its edge. Graphs are immutable after construction,
+these two included, and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -52,11 +54,14 @@ class Graph:
     """Immutable undirected simple graph with indexed vertices and edges.
 
     ``edges[i]`` is the endpoint pair ``(u, v)`` with ``u < v`` of the edge
-    whose stable index is ``i``. ``bipartition``, when present, maps each
-    vertex to side 0 or 1 and every edge must cross sides.
+    whose stable index is ``i``. ``adj[v]`` holds the ``(neighbour, edge)``
+    pairs of ``v`` sorted by neighbour, for iteration; ``edge_to[v]`` maps
+    each neighbour of ``v`` to the edge's index, for lookup, and iterating
+    it gives edge order. Neither may be mutated. ``bipartition``, when
+    present, maps each vertex to side 0 or 1 and every edge must cross sides.
     """
 
-    __slots__ = ("n", "edges", "adj", "bipartition", "_pair_to_id", "_incident")
+    __slots__ = ("n", "edges", "adj", "edge_to", "bipartition")
 
     def __init__(
         self,
@@ -69,9 +74,8 @@ class Graph:
         if n > MAX_VERTICES:
             raise ParameterError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         self.n = n
-        pair_to_id: dict[tuple[int, int], int] = {}
         normalized: list[tuple[int, int]] = []
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        edge_to: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
@@ -79,20 +83,14 @@ class Graph:
                 raise ParameterError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in pair_to_id:
+            if v in edge_to[u]:
                 raise ParameterError(f"duplicate edge ({u}, {v})")
-            eid = len(normalized)
-            pair_to_id[(u, v)] = eid
+            edge_to[u][v] = edge_to[v][u] = len(normalized)
             normalized.append((u, v))
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
         self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
+        self.edge_to: tuple[dict[int, int], ...] = tuple(edge_to)
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(nbrs)) for nbrs in adj
-        )
-        self._pair_to_id = pair_to_id
-        self._incident: tuple[frozenset[int], ...] = tuple(
-            frozenset(eid for _, eid in nbrs) for nbrs in self.adj
+            tuple(sorted(nbrs.items())) for nbrs in edge_to
         )
         if bipartition is not None:
             sides = tuple(bipartition)
@@ -119,20 +117,17 @@ class Graph:
 
     def incident(self, v: int) -> frozenset[int]:
         """Indices of all edges incident to vertex ``v``."""
-        return self._incident[v]
+        return frozenset(self.edge_to[v].values())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._pair_to_id
+        # The range check keeps a negative u from indexing from the end.
+        return 0 <= u < self.n and v in self.edge_to[u]
 
     def edge_id(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        try:
-            return self._pair_to_id[(u, v)]
-        except KeyError:
-            raise ParameterError(f"({u}, {v}) is not an edge") from None
+        eid = self.edge_to[u].get(v) if 0 <= u < self.n else None
+        if eid is None:
+            raise ParameterError(f"({min(u, v)}, {max(u, v)}) is not an edge")
+        return eid
 
     def min_degree(self) -> int:
         return min((len(nbrs) for nbrs in self.adj), default=0)

@@ -166,7 +166,7 @@ def maximum_matching_mates(g: Graph, dead: frozenset[int] = frozenset()) -> list
 
 
 def _mates_to_edge_ids(g: Graph, mate: list[int]) -> list[int]:
-    return [g.edge_id(v, mate[v]) for v in range(g.n) if mate[v] > v]
+    return [g.edge_to[v][mate[v]] for v in range(g.n) if mate[v] > v]
 
 
 def matching_number_excluding(g: Graph, dead: Iterable[int]) -> int:

@@ -317,7 +317,6 @@ class _Search:
         self.g = g
         self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
-        self.edge_to = [dict(nbrs) for nbrs in g.adj]
         self.threshold = g.n // 2 - 1
         self.m = g.m
         self.mates = maximum_matching_mates(g)
@@ -407,7 +406,7 @@ class _Search:
         # the parent's M_2, and each later M_(i+1) from M_i, less U_i.
         g = self.g
         edges = g.edges
-        edge_to = self.edge_to
+        edge_to = g.edge_to
         odd = g.n % 2
         dead = set(fault)
         packing = mates

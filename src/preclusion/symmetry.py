@@ -27,7 +27,6 @@ from .errors import ParameterError
 from .graphs import Graph
 
 __all__ = [
-    "refines_to_discrete",
     "is_automorphism",
     "automorphisms",
     "edge_orbits",
@@ -91,13 +90,6 @@ def _target_cell(colour: list[int], count: int) -> list[int]:
     return [v for v, c in enumerate(colour) if c == target]
 
 
-def refines_to_discrete(g: Graph) -> bool:
-    """Whether colour refinement alone gives every vertex its own colour,
-    which proves that g has no automorphism but the identity."""
-    nbrs, width = _coloured_adjacency(g, [0] * g.m)
-    return _refine(nbrs, width, [0] * g.n)[1] == g.n
-
-
 def _root(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -112,10 +104,10 @@ def _merge(parent: list[int], x: int, y: int) -> None:
         parent[max(a, b)] = min(a, b)
 
 
-def _maps_edges(g: Graph, index: dict, bits: list[int], perm: Sequence[int]) -> bool:
+def _maps_edges(g: Graph, bits: list[int], perm: Sequence[int]) -> bool:
+    edge_to = g.edge_to
     for eid, (u, v) in enumerate(g.edges):
-        a, b = perm[u], perm[v]
-        image = index.get((a, b) if a < b else (b, a))
+        image = edge_to[perm[u]].get(perm[v])
         if image is None or bits[image] != bits[eid]:
             return False
     return True
@@ -126,8 +118,7 @@ def is_automorphism(g: Graph, perm: Sequence[int], fixed: Sequence[Iterable[int]
     maps edges to edges and every edge set in ``fixed`` onto itself."""
     if len(perm) != g.n or sorted(perm) != list(range(g.n)):
         return False
-    index = {e: i for i, e in enumerate(g.edges)}
-    return _maps_edges(g, index, _edge_bits(g, fixed), perm)
+    return _maps_edges(g, _edge_bits(g, fixed), perm)
 
 
 class _Tree:
@@ -138,7 +129,6 @@ class _Tree:
     def __init__(self, g: Graph, bits: list[int]):
         self.g = g
         self.bits = bits
-        self.index = {e: i for i, e in enumerate(g.edges)}
         self.nbrs, self.width = _coloured_adjacency(g, bits)
         self.cells: list[list[int]] = []       # target cell at each level of the first path
         self.colours: list[list[int]] = []     # colouring at each level
@@ -165,7 +155,7 @@ class _Tree:
             for v, c in enumerate(colour):
                 vertex_of[c] = v
             perm = tuple(vertex_of[c] for c in self.first_leaf)
-            return perm if _maps_edges(self.g, self.index, self.bits, perm) else None
+            return perm if _maps_edges(self.g, self.bits, perm) else None
         for u in _target_cell(colour, max(colour) + 1):
             child = self._child(colour, u, level)
             perm = None if child is None else self._leaf_map(child, level + 1)

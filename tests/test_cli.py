@@ -244,6 +244,88 @@ def test_verify_command_echoes_slow_and_nothing_unasked(capsys):
     assert "seed" not in report["result"]  # exhaustive: no sample to seed
 
 
+def usage_error(capsys, *argv) -> str:
+    """Run ``argv``, which must exit 2 with nothing on stdout; its last
+    stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "", argv
+    return out.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "C4", "--mode", "mp", "--s", "3"),
+    ("solve", "C4", "--mode", "ak", "--s", "3"),
+    ("bench", "--mode", "mp", "--s", "2"),
+    ("reduce", "C4", "--s", "2"),
+])
+def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv):
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    argv = [str(path) if arg == "C4" else arg for arg in argv]
+    assert "error: --s applies only" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("hypercube", "3", "2", "7"),
+    ("lemma4", "3", "4"),
+    ("lemma5", "3", "4"),
+    ("chain", "1", "2", "3", "4"),
+    ("reduction-fuzz", "1", "2", "3"),
+    ("hypercube", "3", "2", "--seed", "5"),
+    ("hypercube", "3", "2", "--count", "5"),
+    ("lemma4", "3", "--seed", "5"),
+    ("lemma4", "3", "--count", "5"),
+    ("hypercube", "3", "2", "--slow"),
+    ("lemma5", "3", "--slow"),
+    ("chain", "--slow"),
+    ("reduction-fuzz", "--slow"),
+    ("chain", "5", "--seed", "9"),
+    ("chain", "5", "3", "--count", "9"),
+    ("reduction-fuzz", "5", "--seed", "9"),
+])
+def test_verify_rejects_parameters_it_would_ignore_or_contradict(capsys, argv):
+    assert "error:" in usage_error(capsys, "verify", *argv)
+
+
+def test_verify_takes_seed_and_count_as_flags_or_parameters(capsys):
+    code, out, _ = run_cli(capsys, "verify", "chain", "--seed", "11", "--count", "5")
+    flags = report_of(out)
+    code2, out, _ = run_cli(capsys, "verify", "chain", "11", "5")
+    positional = report_of(out)
+    assert code == code2 == 0
+    assert flags["command"] == ["verify", "chain", "--seed", "11", "--count", "5"]
+    assert flags["result"] == positional["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "-", "--mode", "mp"),
+    ("bench",),
+    ("verify", "hypercube", "3", "2"),
+    ("verify", "lemma5", "3"),
+    ("verify", "lemma4", "3"),
+    ("verify", "chain"),
+    ("verify", "reduction-fuzz"),
+])
+def test_jobs_below_one_is_a_usage_error_for_every_suite(capsys, argv):
+    assert "error: --jobs must be >= 1" in usage_error(capsys, *argv, "--jobs", "0")
+
+
+def test_reports_echo_every_flag_that_shapes_the_result(tmp_path, capsys):
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    flags = ("--check", "1", "--s", "2", "--format", "g6")
+    code, out, _ = run_cli(capsys, "reduce", str(path), *flags)
+    assert code == 0 and report_of(out)["command"] == ["reduce", *flags]
+    flags = ("--mode", "mps", "--s", "2", "--min-n", "3", "--max-n", "3")
+    code, out, _ = run_cli(capsys, "bench", *flags)
+    report = report_of(out)
+    assert code == 0 and report["command"] == ["bench", *flags]
+    assert [row["n"] for row in report["result"]["rows"]] == [3]
+    validate_schema(report)
+
+
 def test_verify_chain(capsys):
     code, out, _ = run_cli(capsys, "verify", "chain", "11", "20")
     assert code == 0

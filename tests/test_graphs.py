@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from preclusion import (
@@ -16,18 +18,41 @@ from preclusion import (
     path,
     petersen,
     random_bipartite_with_pm,
+    random_graph,
     surviving_edge_ids,
 )
-from conftest import random_corpus
+from conftest import random_corpus, relabel
 
 
 def test_graph_rejects_self_loops_and_duplicates():
     with pytest.raises(ParameterError):
         Graph(3, [(0, 0)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="duplicate"):
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ParameterError):
         Graph(2, [(0, 5)])
+
+
+def test_edge_lookups_reject_vertices_out_of_range():
+    # -1 must not reach the last vertex's neighbours.
+    for g in (hypercube(3), petersen()):
+        for bad in (-1, g.n):
+            for w in range(g.n):
+                for u, v in ((bad, w), (w, bad)):
+                    assert not g.has_edge(u, v)
+                    with pytest.raises(ParameterError):
+                        g.edge_id(u, v)
+
+
+def test_edge_index_agrees_with_edges_and_adjacency():
+    rng = random.Random(10)
+    for g in (hypercube(4), petersen(), relabel(random_graph(12, 30, seed=3), rng)):
+        for eid, (u, v) in enumerate(g.edges):
+            assert g.edge_to[u][v] == g.edge_to[v][u] == g.edge_id(v, u) == eid
+        assert sum(map(len, g.edge_to)) == 2 * g.m
+        for v in range(g.n):
+            assert g.adj[v] == tuple(sorted(g.edge_to[v].items()))
+            assert g.incident(v) == frozenset(eid for eid, e in enumerate(g.edges) if v in e)
 
 
 def test_graph_rejects_bad_bipartition():

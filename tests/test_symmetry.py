@@ -59,7 +59,6 @@ def test_automorphisms_span_the_whole_group():
             assert all(is_automorphism(h, p) for p in generators)
             assert group_order(h.n, generators) == order, h.edges
     assert automorphisms(frucht()) == []
-    assert not symmetry.refines_to_discrete(frucht())
 
 
 def test_check_rejects_non_automorphisms_and_moved_sets():
