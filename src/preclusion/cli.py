@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import __version__
-from .errors import ParseError, PreclusionError
+from .errors import ParameterError, ParseError, PreclusionError
 from .formats import detect_format, emit, parse
 from .graphs import Graph, generate, hypercube
 from .cubes import (
@@ -68,6 +68,8 @@ def _read_graph(path: str) -> Graph:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError("graph input must be ASCII text", exc.start) from exc
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse(detect_format(text), text)
 
 
@@ -205,7 +207,7 @@ def cmd_reduce(parser, args) -> int:
 
 def _verify_hypercube(args) -> tuple[dict, bool]:
     n, s = args.params[0], args.params[1]
-    cert = verify_mps_hypercube(n, s, jobs=args.jobs)
+    cert = verify_mps_hypercube(n, s)
     expected = 2 * n - 2
     passed = cert.value == expected
     return {
@@ -220,9 +222,7 @@ def _verify_hypercube(args) -> tuple[dict, bool]:
 
 def _verify_lemma5(args) -> tuple[dict, bool]:
     n = args.params[0]
-    samples = args.count if args.count is not None else 100_000
-    seed = args.seed if args.seed is not None else 0
-    out = super_connectivity_report(n, samples=samples, seed=seed)
+    out = super_connectivity_report(n, samples=args.count, seed=args.seed)
     out["suite"] = "lemma5"
     out["trivial_conditional_sets_leave_connected"] = verify_trivial_conditional_connected(n)
     passed = out["passed"] and out["trivial_conditional_sets_leave_connected"]
@@ -239,7 +239,7 @@ def _verify_lemma4(args) -> tuple[dict, bool]:
 def _verify_chain(args) -> tuple[dict, bool]:
     seed = args.params[0] if len(args.params) > 0 else (args.seed or 0)
     count = args.params[1] if len(args.params) > 1 else (100 if args.count is None else args.count)
-    out = chain_suite(seed, count, jobs=args.jobs)
+    out = chain_suite(seed, count)
     out["suite"] = "chain"
     out["seed"] = seed
     return out, out["passed"]
@@ -409,9 +409,6 @@ def main(argv=None) -> int:
     try:
         return args.func(parser, args)
     except PreclusionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -162,7 +162,7 @@ def verify_optimal_conditional_sets_trivial(n: int, allow_slow: bool = False) ->
 # Restricted preclusion number of the n-cube
 # ---------------------------------------------------------------------------
 
-def verify_mps_hypercube(n: int, s: int, jobs: int = 1) -> PreclusionCertificate:
+def verify_mps_hypercube(n: int, s: int) -> PreclusionCertificate:
     """Certificate that the s-restricted preclusion number of the n-cube is
     2n-2.
 
@@ -183,7 +183,7 @@ def verify_mps_hypercube(n: int, s: int, jobs: int = 1) -> PreclusionCertificate
         raise PreclusionError(
             f"trivial conditional set failed the {s}-restricted predicate on Q_{n}")
     if n <= 5:
-        lower = solve(g, mp_s(s), budget=value - 1, jobs=jobs)
+        lower = solve(g, mp_s(s), budget=value - 1)
         if lower.feasible:
             raise PreclusionError(
                 f"found a {s}-restricted preclusion set of Q_{n} below {value}: "
@@ -221,14 +221,20 @@ def _incident_pair_cuts(g: Graph) -> set[frozenset[int]]:
     return {frozenset(incident_pair_set(g, eid).members) for eid in range(g.m)}
 
 
-def super_connectivity_report(n: int, samples: int = 100_000, seed: int = 0) -> dict:
+def super_connectivity_report(n: int, samples: Optional[int] = None,
+                              seed: Optional[int] = None) -> dict:
     """Check the corrected connectivity statement on size-(2n-2) fault sets:
     every fault set that is neither an incident-pair cut nor a superset of a
-    vertex star leaves the n-cube connected. Exhaustive for n=3, seeded
-    random sampling of ``samples`` sets otherwise, reported with its seed.
+    vertex star leaves the n-cube connected. Exhaustive for n=3, which takes
+    neither ``samples`` nor ``seed``; otherwise seeded random sampling of
+    ``samples`` sets (default 100,000, seed 0), reported with its seed.
     The literal-form counterexample is rebuilt and reported alongside."""
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
+    if n == 3 and (samples is not None or seed is not None):
+        raise ParameterError("n=3 is checked exhaustively and takes no samples or seed")
+    samples = 100_000 if samples is None else samples
+    seed = 0 if seed is None else seed
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     g = hypercube(n)

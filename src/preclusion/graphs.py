@@ -6,7 +6,9 @@ Vertices are dense integers ``0..n-1``. Edges receive stable indices
 as small index sets (or bitmasks in hot loops). ``Graph.adj`` is the
 adjacency to iterate, in neighbour order; ``Graph.edge_to`` is the one index
 from a vertex pair to its edge. Graphs are immutable after construction,
-these two included, and safe to share across threads.
+these two included, and safe to share across threads. Every edge-set
+argument is read through :func:`edge_ids`, which enforces an
+:class:`EdgeSet`'s tag and the range of plain edge indices.
 """
 
 from __future__ import annotations
@@ -157,20 +159,17 @@ class EdgeSet:
     The edge indices are kept as a sorted tuple, a fifth of the size of a
     frozen set of six indices, so certificates kept in bulk stay small;
     :attr:`members` hands them out as a frozen set. Every operation that
-    consumes an :class:`EdgeSet` checks that it is tagged to the graph at
-    hand (same labelling), so indices cannot silently be applied to a
-    foreign graph.
+    consumes an edge set, this constructor included, reads it through
+    :func:`edge_ids`, which checks that an :class:`EdgeSet` is tagged to the
+    graph at hand (same labelling) and that plain indices exist there, so
+    indices cannot silently be applied to a foreign graph.
     """
 
     __slots__ = ("graph", "ids")
 
     def __init__(self, graph: Graph, members: Iterable[int]):
-        ids = tuple(sorted(frozenset(members)))
-        if ids and not (0 <= ids[0] and ids[-1] < graph.m):
-            eid = ids[0] if ids[0] < 0 else ids[-1]
-            raise ParameterError(f"edge index {eid} out of range for m={graph.m}")
+        self.ids = tuple(sorted(edge_ids(graph, members)))
         self.graph = graph
-        self.ids = ids
 
     @property
     def members(self) -> frozenset[int]:
@@ -185,12 +184,10 @@ class EdgeSet:
         return tuple(self.graph.edges[eid] for eid in self.ids)
 
     def union(self, other: Iterable[int]) -> "EdgeSet":
-        extra = other.ids if isinstance(other, EdgeSet) else other
-        return EdgeSet(self.graph, self.members.union(extra))
+        return EdgeSet(self.graph, self.members | edge_ids(self.graph, other))
 
     def difference(self, other: Iterable[int]) -> "EdgeSet":
-        drop = other.ids if isinstance(other, EdgeSet) else other
-        return EdgeSet(self.graph, self.members.difference(drop))
+        return EdgeSet(self.graph, self.members - edge_ids(self.graph, other))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -213,10 +210,20 @@ class EdgeSet:
         return f"EdgeSet({list(self.ids)})"
 
 
-def require_tagged(graph: Graph, edge_set: EdgeSet) -> None:
-    """Raise :class:`TagMismatchError` unless ``edge_set`` belongs to ``graph``."""
-    if not graph.same_labelling(edge_set.graph):
-        raise TagMismatchError("edge set is tagged to a different graph")
+def edge_ids(graph: Graph, edges: Iterable[int]) -> frozenset[int]:
+    """The indices of the edge-set argument ``edges``: an :class:`EdgeSet`
+    must be tagged to ``graph`` (else :class:`TagMismatchError`), and any
+    other iterable is read as edge indices, each of which must exist in
+    ``graph`` (else :class:`ParameterError`)."""
+    if isinstance(edges, EdgeSet):
+        if not graph.same_labelling(edges.graph):
+            raise TagMismatchError("edge set is tagged to a different graph")
+        return edges.members
+    dead = frozenset(edges)
+    if dead and (min(dead) < 0 or max(dead) >= graph.m):
+        eid = min(dead) if min(dead) < 0 else max(dead)
+        raise ParameterError(f"edge index {eid} out of range for m={graph.m}")
+    return dead
 
 
 @dataclass(frozen=True)
@@ -361,23 +368,21 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 # Deletion and components
 # ---------------------------------------------------------------------------
 
-def delete_edges(g: Graph, f: EdgeSet) -> Graph:
+def delete_edges(g: Graph, f: Iterable[int]) -> Graph:
     """The graph ``g - f``: same vertices, surviving edges in original order.
 
     The new index of a surviving edge is its rank among survivors;
     :func:`surviving_edge_ids` recovers the original indices.
     """
-    require_tagged(g, f)
-    dead = f.members
+    dead = edge_ids(g, f)
     kept = [g.edges[eid] for eid in range(g.m) if eid not in dead]
     sides = g.bipartition
     return Graph(g.n, kept, bipartition=sides)
 
 
-def surviving_edge_ids(g: Graph, f: EdgeSet) -> tuple[int, ...]:
+def surviving_edge_ids(g: Graph, f: Iterable[int]) -> tuple[int, ...]:
     """Map each edge index of ``delete_edges(g, f)`` to its index in ``g``."""
-    require_tagged(g, f)
-    dead = f.members
+    dead = edge_ids(g, f)
     return tuple(eid for eid in range(g.m) if eid not in dead)
 
 
@@ -386,13 +391,7 @@ def components(g: Graph, without: Optional[Iterable[int]] = None) -> ComponentRe
     indices appear in ``without`` (so ``components(g, without=f)`` reports on
     ``g - f`` without building the deleted graph).
     """
-    if isinstance(without, EdgeSet):
-        require_tagged(g, without)
-        dead = without.members
-    elif without is not None:
-        dead = frozenset(without)
-    else:
-        dead = frozenset()
+    dead = frozenset() if without is None else edge_ids(g, without)
     seen = [False] * g.n
     comps: list[frozenset[int]] = []
     for start in range(g.n):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Container, FrozenSet, Iterable
 
 from .errors import OracleLimitError, ParameterError
-from .graphs import EdgeSet, Graph
+from .graphs import EdgeSet, Graph, edge_ids
 
 __all__ = [
     "Matching",
@@ -171,8 +171,7 @@ def _mates_to_edge_ids(g: Graph, mate: list[int]) -> list[int]:
 
 def matching_number_excluding(g: Graph, dead: Iterable[int]) -> int:
     """nu(g - dead): matching number after removing the given edge indices."""
-    dead_set = dead.members if isinstance(dead, EdgeSet) else frozenset(dead)
-    mate = maximum_matching_mates(g, dead_set)
+    mate = maximum_matching_mates(g, edge_ids(g, dead))
     return sum(1 for v in range(g.n) if mate[v] != -1) // 2
 
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import OracleLimitError, ParameterError, PreconditionError, ReductionError
-from .graphs import EdgeSet, Graph, random_bipartite_with_pm, require_tagged, with_bipartition
+from .graphs import EdgeSet, Graph, edge_ids, random_bipartite_with_pm, with_bipartition
 from .matching import has_perfect_matching
 from .solver import (
     AK,
@@ -104,16 +104,16 @@ def build_reduction(g: Graph) -> ReductionInstance:
     )
 
 
-def forward_witness(r: ReductionInstance, b: EdgeSet) -> EdgeSet:
+def forward_witness(r: ReductionInstance, b: Iterable[int]) -> EdgeSet:
     """Lift a matching preclusion set B of the source to B' = B + {e}, an
     anti-Kekule (and s-restricted preclusion) set of the gadget."""
-    require_tagged(r.source, b)
-    if not is_matching_preclusion_set(r.source, b):
+    dead = edge_ids(r.source, b)
+    if not is_matching_preclusion_set(r.source, dead):
         raise PreconditionError("edge set is not a matching preclusion set of the source")
-    return EdgeSet(r.gadget, set(b.members) | {r.edge_e})
+    return EdgeSet(r.gadget, dead | {r.edge_e})
 
 
-def backward_extract(r: ReductionInstance, b_prime: EdgeSet, k: int) -> EdgeSet:
+def backward_extract(r: ReductionInstance, b_prime: Iterable[int], k: int) -> EdgeSet:
     """Extract a matching preclusion set of the source of size <= k from an
     anti-Kekule or s-restricted preclusion set of the gadget of size <= k+1.
 
@@ -124,22 +124,22 @@ def backward_extract(r: ReductionInstance, b_prime: EdgeSet, k: int) -> EdgeSet:
     k, so a trivial vertex star works. Any state outside this analysis
     raises :class:`ReductionError` rather than being repaired silently.
     """
-    require_tagged(r.gadget, b_prime)
+    dead = edge_ids(r.gadget, b_prime)
     if k < 0:
         raise ParameterError(f"budget must be >= 0, got {k}")
-    if len(b_prime) > k + 1:
-        raise PreconditionError(f"gadget fault set has {len(b_prime)} edges, budget allows {k + 1}")
+    if len(dead) > k + 1:
+        raise PreconditionError(f"gadget fault set has {len(dead)} edges, budget allows {k + 1}")
     # Anti-Kekule sets and s>=1-restricted sets alike leave no perfect
     # matching and no isolated vertex, which is exactly the 1-restricted test.
-    if not is_s_restricted_set(r.gadget, b_prime, 1):
+    if not is_s_restricted_set(r.gadget, dead, 1):
         raise PreconditionError(
             "gadget fault set is not an anti-Kekule or restricted preclusion set")
 
     source = r.source
-    restriction = frozenset(e for e in b_prime.members if e < source.m)
+    restriction = frozenset(e for e in dead if e < source.m)
     candidate = EdgeSet(source, restriction)
 
-    if r.edge_e in b_prime.members:
+    if r.edge_e in dead:
         if len(candidate) > k or not is_matching_preclusion_set(source, candidate):
             raise ReductionError("deleted-e case produced an invalid extraction")
         return candidate

@@ -94,7 +94,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
-from .graphs import ComponentReport, EdgeSet, Graph, components, random_graph, require_tagged
+from .graphs import ComponentReport, EdgeSet, Graph, components, edge_ids, random_graph
 from .matching import (
     augment_from,
     matching_number_excluding,
@@ -224,32 +224,31 @@ class PreclusionCertificate:
 # Predicates
 # ---------------------------------------------------------------------------
 
-def is_matching_preclusion_set(g: Graph, f: EdgeSet) -> bool:
+def is_matching_preclusion_set(g: Graph, f: Iterable[int]) -> bool:
     """True when g - f has neither a perfect nor an almost perfect matching,
     i.e. nu(g - f) <= floor(n/2) - 1."""
-    require_tagged(g, f)
-    return matching_number_excluding(g, f.members) <= g.n // 2 - 1
+    return matching_number_excluding(g, f) <= g.n // 2 - 1
 
 
-def is_s_restricted_set(g: Graph, f: EdgeSet, s: int) -> bool:
+def is_s_restricted_set(g: Graph, f: Iterable[int], s: int) -> bool:
     """Matching preclusion with the extra demand that every component of
     g - f keeps at least s + 1 vertices."""
     kind = mp_s(s)
-    require_tagged(g, f)
-    if matching_number_excluding(g, f.members) > g.n // 2 - 1:
+    dead = edge_ids(g, f)
+    if matching_number_excluding(g, dead) > g.n // 2 - 1:
         return False
-    return kind.side_holds(components(g, without=f.members))
+    return kind.side_holds(components(g, without=dead))
 
 
-def is_anti_kekule_set(g: Graph, f: EdgeSet) -> bool:
+def is_anti_kekule_set(g: Graph, f: Iterable[int]) -> bool:
     """True when g - f stays connected but loses every perfect matching.
     Only defined on even order (Kekule structures are perfect matchings)."""
-    require_tagged(g, f)
+    dead = edge_ids(g, f)
     if g.n % 2 == 1:
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
-    if not AK.side_holds(components(g, without=f.members)):
+    if not AK.side_holds(components(g, without=dead)):
         return False
-    return matching_number_excluding(g, f.members) <= g.n // 2 - 1
+    return matching_number_excluding(g, dead) <= g.n // 2 - 1
 
 
 def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
@@ -282,8 +281,8 @@ def _none_within(g: Graph, kind: ProblemKind, cap: Optional[int],
     return PreclusionCertificate(kind, INFINITY, None, None, reason=reason, stats=stats)
 
 
-def evidence_for(g: Graph, witness: EdgeSet) -> Evidence:
-    dead = witness.members
+def evidence_for(g: Graph, witness: Iterable[int]) -> Evidence:
+    dead = edge_ids(g, witness)
     rep = components(g, without=dead)
     return Evidence(
         nu_after=matching_number_excluding(g, dead),
@@ -640,7 +639,7 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
 # Monotone-chain verification suite
 # ---------------------------------------------------------------------------
 
-def chain_suite(seed: int, count: int, max_s: int = 3, jobs: int = 1) -> dict:
+def chain_suite(seed: int, count: int, max_s: int = 3) -> dict:
     """Check mp <= mp_1 <= ... <= mp_max_s (INFINITY on top) on ``count``
     seeded random even-order graphs within the oracle edge limit."""
     if count < 1:
@@ -651,7 +650,7 @@ def chain_suite(seed: int, count: int, max_s: int = 3, jobs: int = 1) -> dict:
         n = rng.choice((4, 6, 8))
         m = rng.randint(0, min(ORACLE_EDGE_LIMIT, n * (n - 1) // 2))
         g = random_graph(n, m, seed=rng.randrange(2**32))
-        values = [solve(g, mp_s(s), jobs=jobs).value for s in range(max_s + 1)]
+        values = [solve(g, mp_s(s)).value for s in range(max_s + 1)]
         if any(a > b for a, b in zip(values, values[1:])):
             violations.append({
                 "index": index,

@@ -245,12 +245,14 @@ def test_verify_command_echoes_slow_and_nothing_unasked(capsys):
 
 
 def usage_error(capsys, *argv) -> str:
-    """Run ``argv``, which must exit 2 with nothing on stdout; its last
-    stderr line."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    """Run ``argv``, which must exit 2 with nothing on stdout, whether the
+    parser or the library refuses it; its last stderr line."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == "", argv
+    assert code == 2 and out.out == "", argv
     return out.err.splitlines()[-1]
 
 
@@ -284,6 +286,8 @@ def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv
     ("chain", "5", "--seed", "9"),
     ("chain", "5", "3", "--count", "9"),
     ("reduction-fuzz", "5", "--seed", "9"),
+    ("lemma5", "3", "--seed", "5"),
+    ("lemma5", "3", "--count", "7"),
 ])
 def test_verify_rejects_parameters_it_would_ignore_or_contradict(capsys, argv):
     assert "error:" in usage_error(capsys, "verify", *argv)
@@ -430,6 +434,15 @@ def test_huge_generated_graph_exits_2():
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stdout == ""
         assert f"exceeds the limit of {limit}" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand", [("solve", "--mode", "mp"), ("reduce",)])
+@pytest.mark.parametrize("target", ["directory", "missing"])
+def test_unreadable_input_paths_exit_2(tmp_path, capsys, subcommand, target):
+    path = str(tmp_path if target == "directory" else tmp_path / "missing.txt")
+    code, out, err = run_cli(capsys, subcommand[0], path, *subcommand[1:])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {path}")
 
 
 def test_non_ascii_input_exits_2(tmp_path, capsys):

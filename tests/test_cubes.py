@@ -194,6 +194,13 @@ def test_super_connectivity_rejects_an_empty_sample():
             super_connectivity_report(4, samples=samples)
 
 
+def test_super_connectivity_q3_takes_no_sample_size_or_seed():
+    # n = 3 is checked exhaustively, so either value would be ignored.
+    for options in ({"seed": 5}, {"samples": 7}):
+        with pytest.raises(ParameterError, match="exhaustively"):
+            super_connectivity_report(3, **options)
+
+
 def test_trivial_conditional_sets_never_disconnect():
     for n in (3, 4):
         assert verify_trivial_conditional_connected(n)

@@ -9,11 +9,14 @@ from preclusion import (
     MP,
     ParameterError,
     PreconditionError,
+    TagMismatchError,
     backward_extract,
     brute_force_solve,
     build_reduction,
     complete_bipartite,
+    components,
     cycle,
+    delete_edges,
     forward_witness,
     fuzz_equivalence,
     has_perfect_matching,
@@ -22,8 +25,11 @@ from preclusion import (
     is_s_restricted_set,
     mp_s,
     random_bipartite_with_pm,
+    surviving_edge_ids,
     verify_equivalence,
 )
+from preclusion.matching import matching_number_excluding
+from preclusion.solver import evidence_for
 
 
 def k2():
@@ -99,6 +105,53 @@ def test_forward_witness_rejects_non_preclusion_sets():
     r = build_reduction(g)
     with pytest.raises(PreconditionError):
         forward_witness(r, EdgeSet(r.source, [0]))
+
+
+# Each consumer of an edge-set argument, called as (reduction, edges), and
+# whether ``edges`` belong to the gadget rather than to the source C_4.
+_CONSUMERS = {
+    "EdgeSet": (lambda r, f: EdgeSet(r.source, f), False),
+    "components": (lambda r, f: components(r.source, without=f), False),
+    "matching_number_excluding": (lambda r, f: matching_number_excluding(r.source, f), False),
+    "delete_edges": (lambda r, f: delete_edges(r.source, f), False),
+    "surviving_edge_ids": (lambda r, f: surviving_edge_ids(r.source, f), False),
+    "is_matching_preclusion_set": (lambda r, f: is_matching_preclusion_set(r.source, f), False),
+    "is_s_restricted_set": (lambda r, f: is_s_restricted_set(r.source, f, 1), False),
+    "is_anti_kekule_set": (lambda r, f: is_anti_kekule_set(r.source, f), False),
+    "evidence_for": (lambda r, f: evidence_for(r.source, f), False),
+    "union": (lambda r, f: EdgeSet(r.source, [2]).union(f), False),
+    "difference": (lambda r, f: EdgeSet(r.source, [0, 2]).difference(f), False),
+    "forward_witness": (lambda r, f: forward_witness(r, f), False),
+    "backward_extract": (lambda r, f: backward_extract(r, f, k=2), True),
+}
+
+
+@pytest.mark.parametrize("name", _CONSUMERS)
+def test_edge_set_consumers_reject_a_foreign_tag(name):
+    # C_4 and its gadget share edge indices 0..3, so a set tagged to the
+    # wrong one would give a plausible answer if its tag went unchecked.
+    consume, on_gadget = _CONSUMERS[name]
+    r = build_reduction(cycle(4))
+    foreign = r.source if on_gadget else r.gadget
+    with pytest.raises(TagMismatchError):
+        consume(r, EdgeSet(foreign, [0, 1]))
+    if name == "components":
+        with pytest.raises(TagMismatchError):
+            consume(r, EdgeSet(foreign, []))
+
+
+@pytest.mark.parametrize("name", _CONSUMERS)
+def test_edge_set_consumers_read_plain_indices_as_edges_of_their_graph(name):
+    consume, on_gadget = _CONSUMERS[name]
+    r = build_reduction(cycle(4))
+    own = r.gadget if on_gadget else r.source
+    ids = [0, 1, r.edge_e] if on_gadget else [0, 1]
+    expected = consume(r, EdgeSet(own, ids))
+    assert consume(r, tuple(ids)) == consume(r, frozenset(ids)) == expected
+    # An index the graph does not have is an error, not an edge to skip.
+    for bad in (-1, own.m):
+        with pytest.raises(ParameterError, match=f"edge index {bad} out of range"):
+            consume(r, (0, bad))
 
 
 def test_backward_extract_case_e_deleted():
