@@ -35,7 +35,7 @@ print(f"extracted back a preclusion set of size {len(extracted)} <= {k}:",
 
 print("\nequivalence at every budget k (oracle on both sides):")
 for k in range(source.m + 1):
-    eq = verify_equivalence(source, k, source_limit=source.m)
+    eq = verify_equivalence(source, k)
     print(f"  k={k}: mp<=k {str(eq.left):5}  ak(G')<=k+1 {str(eq.right_ak):5}"
           f"  mp_1(G')<=k+1 {str(eq.right_mps):5}  agree={eq.agree}")
 

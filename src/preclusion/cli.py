@@ -13,12 +13,13 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 from . import __version__
 from .errors import ParameterError, ParseError, PreclusionError
 from .formats import detect_format, emit, parse
-from .graphs import Graph, generate, hypercube
+from .graphs import FAMILIES, Graph, generate, hypercube
 from .cubes import (
     lemma_report_conditional_sets,
     super_connectivity_report,
@@ -184,7 +185,7 @@ def cmd_reduce(parser, args) -> int:
     ok = True
     if args.check is not None:
         s = 1 if args.s is None else args.s
-        eq = verify_equivalence(g, args.check, s=s, source_limit=max(16, g.m))
+        eq = verify_equivalence(g, args.check, s=s)
         result["equivalence"] = {
             "k": args.check,
             "s": s,
@@ -211,7 +212,6 @@ def _verify_hypercube(args) -> tuple[dict, bool]:
     expected = 2 * n - 2
     passed = cert.value == expected
     return {
-        "suite": "hypercube",
         "n": n,
         "s": s,
         "expected": expected,
@@ -223,7 +223,6 @@ def _verify_hypercube(args) -> tuple[dict, bool]:
 def _verify_lemma5(args) -> tuple[dict, bool]:
     n = args.params[0]
     out = super_connectivity_report(n, samples=args.count, seed=args.seed)
-    out["suite"] = "lemma5"
     out["trivial_conditional_sets_leave_connected"] = verify_trivial_conditional_connected(n)
     passed = out["passed"] and out["trivial_conditional_sets_leave_connected"]
     return out, passed
@@ -232,25 +231,16 @@ def _verify_lemma5(args) -> tuple[dict, bool]:
 def _verify_lemma4(args) -> tuple[dict, bool]:
     n = args.params[0]
     out = lemma_report_conditional_sets(n, allow_slow=args.slow)
-    out["suite"] = "lemma4"
     return out, out["passed"]
 
 
-def _verify_chain(args) -> tuple[dict, bool]:
-    seed = args.params[0] if len(args.params) > 0 else (args.seed or 0)
-    count = args.params[1] if len(args.params) > 1 else (100 if args.count is None else args.count)
-    out = chain_suite(seed, count)
-    out["suite"] = "chain"
-    out["seed"] = seed
-    return out, out["passed"]
-
-
-def _verify_reduction_fuzz(args) -> tuple[dict, bool]:
-    seed = args.params[0] if len(args.params) > 0 else (args.seed or 0)
-    count = args.params[1] if len(args.params) > 1 else (200 if args.count is None else args.count)
-    out = fuzz_equivalence(seed, count)
-    out["suite"] = "reduction-fuzz"
-    out["seed"] = seed
+def _verify_corpus(suite, args) -> tuple[dict, bool]:
+    """A seeded corpus suite, passed whichever of seed and count were given,
+    as parameters or as flags; it supplies its own defaults."""
+    given = dict(zip(("seed", "count"), args.params))
+    given.update((flag, getattr(args, flag)) for flag in ("seed", "count")
+                 if getattr(args, flag) is not None)
+    out = suite(**given)
     return out, out["passed"]
 
 
@@ -261,8 +251,9 @@ _SUITES = {
     "hypercube": (_verify_hypercube, 2, ("n", "s"), ()),
     "lemma5": (_verify_lemma5, 1, ("n",), ("seed", "count")),
     "lemma4": (_verify_lemma4, 1, ("n",), ("slow",)),
-    "chain": (_verify_chain, 0, ("seed", "count"), ("seed", "count")),
-    "reduction-fuzz": (_verify_reduction_fuzz, 0, ("seed", "count"), ("seed", "count")),
+    "chain": (partial(_verify_corpus, chain_suite), 0, ("seed", "count"), ("seed", "count")),
+    "reduction-fuzz": (partial(_verify_corpus, fuzz_equivalence), 0, ("seed", "count"),
+                       ("seed", "count")),
 }
 
 
@@ -280,6 +271,7 @@ def cmd_verify(parser, args) -> int:
         if flag in names[:len(args.params)]:
             parser.error(f"--{flag} repeats the {flag} given as a parameter")
     result, passed = runner(args)
+    result["suite"] = args.suite
     command = ["verify", args.suite] + [str(p) for p in args.params] + _echo(args, "seed", "count")
     if args.slow:
         command.append("--slow")
@@ -343,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a named graph family instance")
-    p_gen.add_argument("family", choices=[
-        "hypercube", "complete", "complete_bipartite", "petersen", "cycle", "path"])
+    p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("params", nargs="*", type=int)
     p_gen.add_argument("--format", choices=sorted(_FMT), default="edges")
     p_gen.set_defaults(func=cmd_gen)
@@ -371,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restriction level for the --check equivalence")
     p_reduce.add_argument("--format", choices=["g6", "json"], default=None,
                           help="gadget encoding (default json)")
-    p_reduce.add_argument("--deterministic", action="store_true")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

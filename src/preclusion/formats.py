@@ -162,12 +162,15 @@ def parse_json(text: str) -> Graph:
         raise ParseError("JSON nested too deeply", 0) from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ParseError("JSON graph needs 'n' and 'edges' keys", 0)
+    n, sides = payload["n"], payload.get("bipartition")
     try:
-        return Graph(
-            payload["n"],
-            [tuple(e) for e in payload["edges"]],
-            bipartition=payload.get("bipartition"),
-        )
+        edges = [tuple(e) for e in payload["edges"]]
+        # bool is a subclass of int, so JSON true would pass for vertex 1.
+        for value in (n, *(x for edge in edges for x in edge), *(sides or ())):
+            if type(value) is not int:
+                raise ParameterError(
+                    f"n, edge endpoints and sides must be integers, not {type(value).__name__}")
+        return Graph(n, edges, bipartition=sides)
     except (ParameterError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid JSON graph: {exc}", 0) from exc
 

@@ -311,7 +311,8 @@ def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-_FAMILIES = {
+# Each family's builder and parameter count, in the order `gen --help` lists them.
+FAMILIES = {
     "hypercube": (hypercube, 1),
     "complete": (complete, 1),
     "complete_bipartite": (complete_bipartite, 2),
@@ -323,11 +324,11 @@ _FAMILIES = {
 
 def generate(family: str, params: Sequence[int] = ()) -> Graph:
     """Build a named graph family instance, e.g. ``generate("hypercube", [3])``."""
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ParameterError(
-            f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
+            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         )
-    builder, arity = _FAMILIES[family]
+    builder, arity = FAMILIES[family]
     if len(params) != arity:
         raise ParameterError(f"family {family!r} takes {arity} parameter(s)")
     return builder(*params)

@@ -43,9 +43,10 @@ class Matching:
     size: int
 
 
-def matching_from_edge_ids(g: Graph, edge_ids: Iterable[int]) -> Matching:
-    """Build a :class:`Matching`, checking that no two edges share a vertex."""
-    ids = frozenset(edge_ids)
+def matching_from_edge_ids(g: Graph, edges: Iterable[int]) -> Matching:
+    """Build a :class:`Matching` from the edge-set argument ``edges``, read by
+    :func:`edge_ids`, checking that no two edges share a vertex."""
+    ids = edge_ids(g, edges)
     saturated: set[int] = set()
     for eid in sorted(ids):
         u, v = g.edges[eid]

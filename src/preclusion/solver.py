@@ -639,9 +639,10 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
 # Monotone-chain verification suite
 # ---------------------------------------------------------------------------
 
-def chain_suite(seed: int, count: int, max_s: int = 3) -> dict:
+def chain_suite(seed: int = 0, count: int = 100, max_s: int = 3) -> dict:
     """Check mp <= mp_1 <= ... <= mp_max_s (INFINITY on top) on ``count``
-    seeded random even-order graphs within the oracle edge limit."""
+    seeded random even-order graphs within the oracle edge limit; the report
+    carries its seed."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
@@ -659,6 +660,7 @@ def chain_suite(seed: int, count: int, max_s: int = 3) -> dict:
                 "values": [v if not math.isinf(v) else "infinity" for v in values],
             })
     return {
+        "seed": seed,
         "instances": count,
         "max_s": max_s,
         "violations": violations,

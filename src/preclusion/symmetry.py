@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParameterError
-from .graphs import Graph
+from .graphs import Graph, edge_ids
 
 __all__ = [
     "is_automorphism",
@@ -36,12 +35,11 @@ Permutation = tuple[int, ...]
 
 
 def _edge_bits(g: Graph, fixed: Sequence[Iterable[int]]) -> list[int]:
-    """Bit i of ``bits[e]`` is set when edge e lies in ``fixed[i]``."""
+    """Bit i of ``bits[e]`` is set when edge e lies in ``fixed[i]``, each
+    set read by :func:`edge_ids`."""
     bits = [0] * g.m
-    for i, edge_ids in enumerate(fixed):
-        for eid in edge_ids:
-            if not 0 <= eid < g.m:
-                raise ParameterError(f"edge index {eid} out of range for m={g.m}")
+    for i, edges in enumerate(fixed):
+        for eid in edge_ids(g, edges):
             bits[eid] |= 1 << i
     return bits
 

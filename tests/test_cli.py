@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from preclusion import emit, hypercube
+from preclusion import emit, hypercube, mp_s
 from preclusion.cli import RunReport, main
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -194,6 +194,22 @@ def test_verify_hypercube(capsys):
     validate_schema(report)
 
 
+def test_verify_hypercube_reports_a_refuted_bound_as_a_failure(capsys, monkeypatch):
+    # A set below 2n-2 is a counterexample (exit 1, witness in the report),
+    # not a usage error (exit 2).
+    import preclusion.cubes as cubes
+    real_solve = cubes.solve
+    monkeypatch.setattr(cubes, "solve", lambda g, kind, **kw: real_solve(g, mp_s(0)))
+    code, out, _ = run_cli(capsys, "verify", "hypercube", "3", "2")
+    assert code == 1
+    result = report_of(out)["result"]
+    assert not result["passed"] and result["expected"] == 4
+    assert result["certificate"]["value"] == 3
+    assert result["certificate"]["witness"] == [0, 1, 2]
+    assert "refuted" in result["certificate"]["note"]
+    validate_schema(report_of(out))
+
+
 def test_verify_lemma4(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma4", "3")
     assert code == 0
@@ -267,6 +283,14 @@ def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv
     path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
     argv = [str(path) if arg == "C4" else arg for arg in argv]
     assert "error: --s applies only" in usage_error(capsys, *argv)
+
+
+def test_reduce_takes_no_deterministic_flag(tmp_path, capsys):
+    # The reduction has no nondeterminism for the flag to switch off.
+    path = tmp_path / "c4.txt"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    err = usage_error(capsys, "reduce", str(path), "--deterministic")
+    assert "unrecognized arguments: --deterministic" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -108,6 +108,18 @@ def test_detect_format_reads_json_but_not_a_60_vertex_graph6():
     assert sixty.startswith("{?") and detect_format(sixty) == "graph6"
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": true, "edges": []}',
+    '{"n": 2, "edges": [[false, true]]}',
+    '{"n": 2, "edges": [[0, 1]], "bipartition": [0, true]}',
+    '{"n": 2, "edges": [[0, 1]], "bipartition": [0, 1.0]}',
+])
+def test_json_values_must_be_integers(text):
+    # Python reads JSON true as 1, so a bool would pass for a vertex.
+    with pytest.raises(ParseError, match="must be integers"):
+        parse("json", text)
+
+
 def _fuzz_text(rng, seeds, alphabet):
     """A random string over ``alphabet``, or a valid encoding with a few
     characters replaced, inserted or deleted."""

@@ -5,6 +5,7 @@ from preclusion import (
     Graph,
     OracleLimitError,
     ParameterError,
+    TagMismatchError,
     brute_force_matching_number,
     complete_bipartite,
     cycle,
@@ -30,6 +31,16 @@ def test_matching_type_invariants():
     assert m.saturated == frozenset(range(8))
     with pytest.raises(ParameterError):
         matching_from_edge_ids(q3, [0, 1])  # both touch vertex 0
+
+
+def test_matching_from_edge_ids_reads_its_argument_through_edge_ids():
+    # Its own table row would not do: C_4's edges 0 and 1 are adjacent.
+    q3 = hypercube(3)
+    for bad in (-1, q3.m, 99):
+        with pytest.raises(ParameterError, match=f"edge index {bad} out of range"):
+            matching_from_edge_ids(q3, [bad])
+    with pytest.raises(TagMismatchError):
+        matching_from_edge_ids(q3, EdgeSet(cycle(8), [0]))
 
 
 def test_matching_number_examples():

@@ -29,7 +29,8 @@ from preclusion import (
     verify_equivalence,
 )
 from preclusion.matching import matching_number_excluding
-from preclusion.solver import evidence_for
+from preclusion.solver import ORACLE_EDGE_LIMIT, evidence_for
+from preclusion.symmetry import automorphisms, is_automorphism
 
 
 def k2():
@@ -123,6 +124,8 @@ _CONSUMERS = {
     "difference": (lambda r, f: EdgeSet(r.source, [0, 2]).difference(f), False),
     "forward_witness": (lambda r, f: forward_witness(r, f), False),
     "backward_extract": (lambda r, f: backward_extract(r, f, k=2), True),
+    "automorphisms": (lambda r, f: automorphisms(r.source, [f]), False),
+    "is_automorphism": (lambda r, f: is_automorphism(r.source, (0, 1, 2, 3), [f]), False),
 }
 
 
@@ -288,8 +291,16 @@ def test_witness_round_trip_fuzz():
         assert len(back) <= k
 
 
+def test_verify_equivalence_takes_sources_past_the_oracle_edge_limit():
+    # The gadget sweep is what costs, and it stops at the first qualifying
+    # sets, so the source's edge count sets no limit of its own.
+    g = random_bipartite_with_pm(5, 0.55, seed=4)
+    assert g.m > ORACLE_EDGE_LIMIT
+    assert verify_equivalence(g, 3).agree
+
+
 def test_fuzz_equivalence_small():
     out = fuzz_equivalence(seed=5, count=25)
-    assert out["passed"]
+    assert out["passed"] and out["seed"] == 5
     assert out["instances"] == 25
     assert not out["disagreements"]
