@@ -1,18 +1,26 @@
 """Automorphisms of a graph that fix given edge sets, and the edge orbits
 they generate.
 
-Automorphisms are found by colour refinement plus individualization and
+Automorphisms are found by partition refinement plus individualization and
 backtracking, in the style of McKay and Piperno ("Practical graph
 isomorphism, II", J. Symbolic Computation 2014), in pure Python. Each edge
-carries one bit per fixed set it lies in, and refinement counts neighbours
-per (edge bits, colour), so every colouring is an invariant of the graph
-together with its fixed sets. The first path of the search tree
-individualizes the first vertex of the first smallest non-singleton cell
-until the colouring is discrete; then, from the deepest level up, each other
-vertex of a level's cell that is not yet in the first vertex's orbit gets a
-search of its subtree, pruned by the refinement's invariant, for a leaf whose
-map from the first leaf is an automorphism. This finds generators of the
-whole group.
+carries one bit per fixed set it lies in. A partition is a list of cells
+(member lists), numbered in the order they are made, starting from the one
+cell of all vertices. Refinement is driven by splitter cells: each splitter
+splits every cell it touches by the vertices' neighbour counts in it per
+edge-bits class, so only what a split changed is looked at again. Every
+choice it makes depends on cell numbers and counts alone, so the partition
+is an invariant of the graph together with its fixed sets, and so is the
+trace of its splits, which is what the search compares. Individualizing a
+vertex moves it into a new cell and refines with that cell as the only
+splitter, which suffices because the partition it starts from is equitable.
+
+The first path of the search tree individualizes the first vertex of the
+first smallest non-singleton cell until every cell is a singleton; then,
+from the deepest level up, each other vertex of a level's cell that is not
+yet in the first vertex's orbit gets a search of its subtree, pruned by
+comparing traces with the first path's, for a leaf whose map from the first
+leaf is an automorphism. This finds generators of the whole group.
 
 Nothing here trusts metadata such as ``Graph.bipartition``: every
 permutation returned has passed the edge-by-edge test of
@@ -44,48 +52,81 @@ def _edge_bits(g: Graph, fixed: Sequence[Iterable[int]]) -> list[int]:
     return bits
 
 
-def _coloured_adjacency(g: Graph, bits: list[int]) -> tuple[list[tuple[tuple[int, int], ...]], int]:
-    """Each vertex's (neighbour, edge bits) pairs, and one more than the
-    largest edge bits value."""
-    return [tuple((w, bits[eid]) for w, eid in nbrs) for nbrs in g.adj], max(bits, default=0) + 1
+def _weighted_adjacency(g: Graph, bits: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Each vertex's (neighbour, weight) pairs. An edge with edge bits b
+    weighs (n + 1) ** b, so a sum of weights over at most n edges spells out
+    the count of neighbours per edge-bits class."""
+    base = g.n + 1
+    return [tuple((w, base ** bits[eid]) for w, eid in nbrs) for nbrs in g.adj]
 
 
-def _refine(nbrs, width: int, colour: list[int]) -> tuple[list[int], int, tuple]:
-    """The coarsest equitable refinement of ``colour`` (canonical ranks
-    0..c-1), its cell count, and an invariant of the result.
+def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) -> list:
+    """Refine the partition ``cells`` (``cell_of`` its inverse) in place
+    from the splitter cells in ``queue`` until it is equitable or discrete,
+    and return the split trace.
 
-    Each round ranks the signatures (own colour, sorted neighbour keys
-    ``width * colour + edge bits``) of all vertices. Ranks depend only on
-    signatures, so the result commutes with relabelling. The last round's
-    ranked signatures (the quotient of the partition, once it is stable)
-    serve as the invariant compared between search-tree nodes."""
-    count = max(colour, default=-1) + 1
-    while True:
-        sigs = [(colour[v], tuple(sorted([width * colour[w] + b for w, b in row])))
-                for v, row in enumerate(nbrs)]
-        ranked = sorted(set(sigs))
-        if len(ranked) == count:
-            return colour, count, tuple(ranked)
-        rank = {sig: i for i, sig in enumerate(ranked)}
-        colour = [rank[sig] for sig in sigs]
-        count = len(ranked)
-        if count == len(nbrs):  # discrete, hence stable
-            return colour, count, tuple(ranked)
+    A splitter gives each vertex the sum of the weights of its edges into
+    the splitter. Each cell it touches, by number, splits by that sum: the
+    piece with the smallest sum keeps the cell's number and the others are
+    new cells in sum order. If the cell was queued, every new piece is
+    queued; otherwise every piece but the first largest (Hopcroft). The
+    trace records each touched cell's sums and piece sizes."""
+    n = len(cell_of)
+    trace = []
+    queued = set(queue)
+    for s in queue:
+        if len(cells) == n:
+            break
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for v in cells[s]:
+            for w, weight in nbrs[v]:
+                count[w] = count.get(w, 0) + weight
+        for c in sorted({cell_of[w] for w in count}):
+            if len(cells[c]) == 1:
+                trace.append((c, count[cells[c][0]]))
+                continue
+            by_key: dict[int, list[int]] = {}
+            for u in cells[c]:
+                by_key.setdefault(count.get(u, 0), []).append(u)
+            keys = sorted(by_key)
+            trace.append((c, tuple((k, len(by_key[k])) for k in keys)))
+            if len(keys) == 1:
+                continue
+            numbers = [c]
+            cells[c] = by_key[keys[0]]
+            for k in keys[1:]:
+                numbers.append(len(cells))
+                for u in by_key[k]:
+                    cell_of[u] = len(cells)
+                cells.append(by_key[k])
+            if c in queued:
+                del numbers[0]
+            else:
+                sizes = [len(cells[d]) for d in numbers]
+                del numbers[sizes.index(max(sizes))]
+            queue.extend(numbers)
+            queued.update(numbers)
+    return trace
 
 
-def _individualize(colour: list[int], v: int) -> list[int]:
-    """``v`` alone takes its old rank, the rest of its cell the next one."""
-    c0 = colour[v]
-    return [c + 1 if c > c0 or (c == c0 and u != v) else c for u, c in enumerate(colour)]
+Partition = tuple[list[list[int]], list[int]]
 
 
-def _target_cell(colour: list[int], count: int) -> list[int]:
-    """The vertices of the first smallest non-singleton cell."""
-    sizes = [0] * count
-    for c in colour:
-        sizes[c] += 1
-    target = min((size, c) for c, size in enumerate(sizes) if size > 1)[1]
-    return [v for v, c in enumerate(colour) if c == target]
+def _individualize(nbrs, partition: Partition, v: int) -> tuple[Partition, list]:
+    """A copy of the equitable ``partition`` with ``v`` moved into a new
+    cell and refined with that cell as the only splitter, and its trace."""
+    cells, cell_of = list(partition[0]), list(partition[1])
+    cells[cell_of[v]] = [u for u in cells[cell_of[v]] if u != v]
+    cell_of[v] = len(cells)
+    cells.append([v])
+    trace = _refine(nbrs, cells, cell_of, [cell_of[v]])
+    return (cells, cell_of), trace
+
+
+def _target_cell(cells: list[list[int]]) -> list[int]:
+    """The members of the first smallest non-singleton cell."""
+    return cells[min((len(cell), c) for c, cell in enumerate(cells) if len(cell) > 1)[1]]
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -127,35 +168,34 @@ class _Tree:
     def __init__(self, g: Graph, bits: list[int]):
         self.g = g
         self.bits = bits
-        self.nbrs, self.width = _coloured_adjacency(g, bits)
-        self.cells: list[list[int]] = []       # target cell at each level of the first path
-        self.colours: list[list[int]] = []     # colouring at each level
-        self.invariants: list[tuple] = []      # invariant one level further down
-        colour, count, _ = _refine(self.nbrs, self.width, [0] * g.n)
-        while count < g.n:
-            cell = _target_cell(colour, count)
+        self.nbrs = _weighted_adjacency(g, bits)
+        self.cells: list[list[int]] = []         # target cell at each level of the first path
+        self.partitions: list[Partition] = []    # partition at each level
+        self.traces: list[list] = []             # trace one level further down
+        partition = ([list(range(g.n))], [0] * g.n)
+        _refine(self.nbrs, *partition, [0])
+        while len(partition[0]) < g.n:
+            cell = _target_cell(partition[0])
             self.cells.append(cell)
-            self.colours.append(colour)
-            colour, count, inv = _refine(self.nbrs, self.width, _individualize(colour, cell[0]))
-            self.invariants.append(inv)
-        self.first_leaf = colour
+            self.partitions.append(partition)
+            partition, trace = _individualize(self.nbrs, partition, cell[0])
+            self.traces.append(trace)
+        self.first_leaf = partition[1]
 
-    def _child(self, colour: list[int], v: int, level: int) -> Optional[list[int]]:
-        """The refined colouring after individualizing ``v`` at ``level``,
-        or None when its invariant differs from the first path's."""
-        child, _, inv = _refine(self.nbrs, self.width, _individualize(colour, v))
-        return child if inv == self.invariants[level] else None
+    def _child(self, partition: Partition, v: int, level: int) -> Optional[Partition]:
+        """The refined partition after individualizing ``v`` at ``level``,
+        or None when its trace differs from the first path's."""
+        child, trace = _individualize(self.nbrs, partition, v)
+        return child if trace == self.traces[level] else None
 
-    def _leaf_map(self, colour: list[int], level: int) -> Optional[Permutation]:
-        """The checked map from the first leaf to a leaf below ``colour``."""
+    def _leaf_map(self, partition: Partition, level: int) -> Optional[Permutation]:
+        """The checked map from the first leaf to a leaf below ``partition``."""
+        cells = partition[0]
         if level == len(self.cells):
-            vertex_of = [0] * self.g.n
-            for v, c in enumerate(colour):
-                vertex_of[c] = v
-            perm = tuple(vertex_of[c] for c in self.first_leaf)
+            perm = tuple(cells[c][0] for c in self.first_leaf)
             return perm if _maps_edges(self.g, self.bits, perm) else None
-        for u in _target_cell(colour, max(colour) + 1):
-            child = self._child(colour, u, level)
+        for u in _target_cell(cells):
+            child = self._child(partition, u, level)
             perm = None if child is None else self._leaf_map(child, level + 1)
             if perm is not None:
                 return perm
@@ -172,7 +212,7 @@ class _Tree:
             for w in others:
                 if _root(parent, w) == _root(parent, first):
                     continue
-                child = self._child(self.colours[level], w, level)
+                child = self._child(self.partitions[level], w, level)
                 perm = None if child is None else self._leaf_map(child, level + 1)
                 if perm is None:
                     continue

@@ -1,11 +1,14 @@
 import random
 
+import pytest
+
 from preclusion import (
     AK,
     MP,
     ORACLE_EDGE_LIMIT,
     EdgeSet,
     Graph,
+    ParameterError,
     brute_force_solve,
     complete,
     complete_bipartite,
@@ -32,8 +35,8 @@ def frucht():
     return Graph(12, edges)
 
 
-def group_order(n, generators):
-    """Size of the permutation group the generators span, by closure."""
+def group_elements(n, generators):
+    """The permutation group the generators span, by closure."""
     identity = tuple(range(n))
     seen = {identity}
     frontier = [identity]
@@ -44,7 +47,11 @@ def group_order(n, generators):
             if r not in seen:
                 seen.add(r)
                 frontier.append(r)
-    return len(seen)
+    return seen
+
+
+def group_order(n, generators):
+    return len(group_elements(n, generators))
 
 
 GROUPS = [(hypercube(3), 48), (petersen(), 120), (complete_bipartite(4, 4), 1152),
@@ -59,6 +66,47 @@ def test_automorphisms_span_the_whole_group():
             assert all(is_automorphism(h, p) for p in generators)
             assert group_order(h.n, generators) == order, h.edges
     assert automorphisms(frucht()) == []
+
+
+def test_trivial_and_disconnected_groups():
+    assert automorphisms(Graph(0, [])) == []
+    assert automorphisms(Graph(1, [])) == []
+    assert group_order(3, automorphisms(Graph(3, []))) == 6
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert group_order(6, automorphisms(two_triangles)) == 72
+
+
+def _random_fixed_sets(g, rng):
+    fault = frozenset(rng.sample(range(g.m), rng.randint(0, 2)))
+    banned = frozenset(rng.sample(sorted(set(range(g.m)) - fault), rng.randint(0, 3)))
+    return fault, banned
+
+
+def test_refinement_commutes_with_relabelling():
+    # Cells are numbered by the splits alone, so relabelling g (and its
+    # fixed sets) relabels the partitions and leaves the traces unchanged.
+    rng = random.Random(506)
+    for g, _ in GROUPS:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            fixed = _random_fixed_sets(g, rng)
+            moved = [{h.edge_id(perm[u], perm[v]) for u, v in (g.edges[e] for e in f)}
+                     for f in fixed]
+            nbrs_g = symmetry._weighted_adjacency(g, symmetry._edge_bits(g, fixed))
+            nbrs_h = symmetry._weighted_adjacency(h, symmetry._edge_bits(h, moved))
+            part_g = ([list(range(g.n))], [0] * g.n)
+            part_h = ([list(range(h.n))], [0] * h.n)
+            traces = [symmetry._refine(nbrs_g, *part_g, [0]), symmetry._refine(nbrs_h, *part_h, [0])]
+            v = rng.randrange(g.n)
+            if len(part_g[0]) < g.n:
+                part_g, trace_g = symmetry._individualize(nbrs_g, part_g, v)
+                part_h, trace_h = symmetry._individualize(nbrs_h, part_h, perm[v])
+                traces += [trace_g, trace_h]
+            assert traces[0::2] == traces[1::2]
+            assert [len(cell) for cell in part_g[0]] == [len(cell) for cell in part_h[0]]
+            assert all(part_h[1][perm[u]] == part_g[1][u] for u in range(g.n))
 
 
 def test_check_rejects_non_automorphisms_and_moved_sets():
@@ -83,8 +131,7 @@ def test_generators_fix_the_given_sets():
     rng = random.Random(502)
     for g, _ in GROUPS[:5]:
         for _ in range(10):
-            fault = frozenset(rng.sample(range(g.m), rng.randint(0, 2)))
-            banned = frozenset(rng.sample(sorted(set(range(g.m)) - fault), rng.randint(0, 3)))
+            fault, banned = _random_fixed_sets(g, rng)
             generators = automorphisms(g, (fault, banned))
             for perm in generators:
                 assert is_automorphism(g, perm, (fault, banned))
@@ -96,15 +143,36 @@ def test_generators_fix_the_given_sets():
                 assert (eid in banned) == (orbit <= banned)
 
 
+def test_groups_fixing_edge_sets_are_complete():
+    # The generators span the whole stabiliser of F and B in Aut(g), found
+    # by filtering Aut(g) element by element; a refinement that told apart
+    # vertices that some such automorphism swaps would lose generators.
+    rng = random.Random(507)
+    for g, _ in GROUPS[:5]:
+        for h in (g, relabel(g, rng), relabel(g, rng)):
+            whole = group_elements(h.n, automorphisms(h))
+            for _ in range(8):
+                fault, banned = _random_fixed_sets(h, rng)
+                stabiliser = [p for p in whole if is_automorphism(h, p, (fault, banned))]
+                generators = automorphisms(h, (fault, banned))
+                assert group_order(h.n, generators) == len(stabiliser), (h.edges, fault, banned)
+                assert edge_orbits(h, generators) == edge_orbits(h, stabiliser)
+
+
+def test_edge_orbits_reject_a_map_that_is_no_automorphism():
+    with pytest.raises(ParameterError, match=r"\(1, 2\) is not an edge"):
+        edge_orbits(hypercube(3), [(1, 0, 2, 3, 4, 5, 6, 7)])
+
+
 def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
     # With an invariant that tells no two nodes of a level apart, every leaf
     # of a level is tried, and only the edge-by-edge check stands between a
     # leaf map and the generator list.
     refine = symmetry._refine
 
-    def blind(nbrs, width, colour):
-        colour, count, _ = refine(nbrs, width, colour)
-        return colour, count, count
+    def blind(nbrs, cells, cell_of, queue):
+        refine(nbrs, cells, cell_of, queue)
+        return len(cells)
 
     monkeypatch.setattr(symmetry, "_refine", blind)
     for g, order in GROUPS:
