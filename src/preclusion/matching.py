@@ -12,7 +12,6 @@ enumerator provide independent cross-checks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Container, FrozenSet, Iterable
 
@@ -78,11 +77,11 @@ def augment_from(g: Graph, dead: Container[int], mate: list[int], root: int) -> 
     base = list(range(n))
     used = [False] * n
     used[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    queue = [root]
+    for v in queue:
+        mate_v = mate[v]
         for to, eid in adj[v]:
-            if base[v] == base[to] or mate[v] == to or eid in dead:
+            if base[v] == base[to] or mate_v == to or eid in dead:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                 # `to` is an even vertex of the tree: blossom found. Its base

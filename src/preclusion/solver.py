@@ -34,14 +34,24 @@ preclusion", 2005). Only refuted subtrees are cut, so DFS order, values and
 witnesses are those of the plain enumeration; ``stats["bound_prunes"]``
 counts the k-dependent cuts, which keep deepening going like budget prunes.
 
-A child grows its M_2 from its parent's M_2 less its edges in U_1. The
-parent's M_2 avoids F, because the parent's U_1 held the edge this node
-deleted, so that is a matching of g - F - U_1, and any matching is a valid
-start: every packing found is a sound bound, and the start only decides which
-one is found. The children of a node at room 1 are leaves or budget prunes.
-When its parent's M_2 is near-perfect it is a near-perfect matching of
-g - F, so the node hands it on, and a child whose edge it avoids is no leaf:
-that child counts as a node and a budget prune without its Edmonds search.
+A node hands its children its packing past M_1: its M_2, and each later
+M_(i+1) that grew near-perfect. A child grows each M_(i+1) from its
+parent's M_(i+1) less its own U_1..U_i, for as many i as its parent packed,
+and from its own M_i less U_i after that. The parent's M_(i+1) avoids the
+parent's F and U_1..U_i, and the parent's U_1 held the edge the child
+deleted, so it avoids the child's F; less the child's U_1..U_i it is a
+matching of g - F - (U_1 + ... + U_i), which is all a start must be. Every
+packing found is a sound bound, and the start only decides which one is
+found and how much ``maximize`` has to repair: the parent's matchings differ
+from the child's near a few vertices, where M_i less U_i leaves most of the
+graph free. M_1 and so the children are the node's own, so DFS order,
+values and witnesses stay those of the plain enumeration; only which
+subtrees the bound cuts, and so the ``stats`` counters, depend on the starts.
+
+The children of a node at room 1 are leaves or budget prunes. When its
+parent's M_2 is near-perfect it is a near-perfect matching of g - F, so the
+node hands it on, and a child whose edge it avoids is no leaf: that child
+counts as a node and a budget prune without its Edmonds search.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
 branching", Math. Programming 126, 2011) stops the search from refuting
@@ -371,18 +381,18 @@ class _Search:
 
     def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
              k: int, removed: Optional[int] = None,
-             warm: Optional[list[int]] = None) -> Optional[frozenset[int]]:
+             warm: Optional[tuple[list[int], ...]] = None) -> Optional[frozenset[int]]:
         """The first qualifying set of size <= ``k`` below the node that
         deletes the edge ``removed`` from its parent, which holds the fault
         set ``fault`` and the maximum matching ``mates`` (the root: no edge,
         and g's own), avoiding ``banned``; None if there is none. ``warm`` is
-        the parent's M_2 or, at room 0, a near-perfect matching of g - F
-        (module docstring)."""
+        the parent's packing (M_2, M_3, ...) or, at room 0, a tuple whose
+        first entry is a near-perfect matching of g - F (module docstring)."""
         stats = self.stats
         stats.nodes += 1
         if removed is not None:
             a, b = self.g.edges[removed]
-            if warm is not None and len(fault) + 1 == k and warm[a] != b:
+            if warm is not None and len(fault) + 1 == k and warm[0][a] != b:
                 stats.budget_prunes += 1
                 return None
             fault = fault | {removed}
@@ -401,42 +411,49 @@ class _Search:
         if leaf:
             return fault
         # The packing bound (module docstring): M_1 is the node's matching,
-        # and its unbanned part U_1 holds the children. M_2 starts from warm,
-        # the parent's M_2, and each later M_(i+1) from M_i, less U_i.
+        # and its unbanned part U_1 holds the children. Each M_(i+1) starts
+        # from the parent's M_(i+1) in warm, less U_1..U_i, while warm lasts
+        # (with no warm: M_2 from M_1), and from M_i less U_i after that.
         g = self.g
         edges = g.edges
         edge_to = g.edge_to
         odd = g.n % 2
+        carried = (mates,) if warm is None else warm
         dead = set(fault)
+        spent: list[int] = []
+        packings: list[list[int]] = []
         packing = mates
-        packed = 0
-        children = second = None
+        children = None
         while True:
             unbanned = [eid for v, w in enumerate(packing)
                         if w > v and (eid := edge_to[v][w]) not in banned]
             if not unbanned:
                 return None
-            packed += 1
-            if packed > room:
+            if len(packings) >= room:
                 stats.bound_prunes += 1
                 return None
             dead.update(unbanned)
+            spent += unbanned
             if children is None:
                 children = unbanned
-                packing = second = (mates if warm is None else warm).copy()
+            if len(packings) < len(carried):
+                packing, cut = carried[len(packings)].copy(), spent
             else:
-                packing = packing.copy()
-            for eid in unbanned:
+                packing, cut = packing.copy(), unbanned
+            for eid in cut:
                 a, b = edges[eid]
                 if packing[a] == b:
                     packing[a] = packing[b] = -1
+            packings.append(packing)
             if not maximize(g, dead, packing, misses_allowed=odd):
                 break
-        # Children at room 0 are leaves or budget prunes: a near-perfect
-        # warm settles those whose edge it avoids.
+        # The children get M_2 and each later M_(i+1) that grew near-perfect:
+        # all packings but the last, which failed. Children at room 0 are
+        # leaves or budget prunes: a near-perfect warm[0] settles those whose
+        # edge it avoids.
         if room > 1:
-            warm = second
-        elif warm is not None and warm.count(-1) > odd:
+            warm = tuple(packings[:-1] or packings)
+        elif warm is not None and warm[0].count(-1) > odd:
             warm = None
         cur_banned = banned
         orbits = None
@@ -527,8 +544,7 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    if budget is not None and budget < 0:
-        raise ParameterError(f"budget must be >= 0, got {budget}")
+    _check_size_cap(budget, "budget")
     if kind.name == "ak" and g.n % 2 == 1:
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
 
@@ -562,11 +578,19 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
+def _check_size_cap(cap: Optional[int], name: str) -> None:
+    if cap is not None and cap < 0:
+        raise ParameterError(f"{name} must be >= 0, got {cap}")
+
+
 def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(checked, combo)`` for every edge subset whose deletion hits each
     mask of ``near_perfect_matching_masks``, size by size in ``sizes`` and
     lexicographically within a size; ``checked`` counts the subsets tested
-    so far. A graph with no near-perfect matching yields nothing."""
+    so far. A graph with no near-perfect matching yields nothing; a
+    negative size raises :class:`ParameterError`."""
+    sizes = tuple(sizes)
+    _check_size_cap(min(sizes, default=0), "size")
     masks = near_perfect_matching_masks(g)
     if not masks:
         return
@@ -587,6 +611,7 @@ def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind],
     """One sweep over the sizes 0..max_size mapping each kind to its first
     qualifying ``(checked, combo)``, the lex-min optimum; a kind with none
     is left out. The pending kinds share one ``components`` report."""
+    _check_size_cap(max_size, "max_size")
     pending = list(dict.fromkeys(kinds))
     found: dict[ProblemKind, tuple[int, tuple[int, ...]]] = {}
     cap = g.m if max_size is None else min(max_size, g.m)
@@ -615,6 +640,7 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
     """
     if kind.name == "ak" and g.n % 2 == 1:
         raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
+    _check_size_cap(max_size, "max_size")
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
     cap = g.m if max_size is None else min(max_size, g.m)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from .errors import ParameterError
 from .graphs import Graph, edge_ids
 
 __all__ = [
@@ -63,7 +64,16 @@ def _weighted_adjacency(g: Graph, bits: list[int]) -> list[tuple[tuple[int, int]
 def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) -> list:
     """Refine the partition ``cells`` (``cell_of`` its inverse) in place
     from the splitter cells in ``queue`` until it is equitable or discrete,
-    and return the split trace.
+    and return the split trace (:func:`_split`)."""
+    trace: list = []
+    _split(nbrs, cells, cell_of, queue, trace)
+    return trace
+
+
+def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
+           trace: Optional[list]) -> None:
+    """The refinement of :func:`_refine`, appending its split trace to
+    ``trace`` unless that is None.
 
     A splitter gives each vertex the sum of the weights of its edges into
     the splitter. Each cell it touches, by number, splits by that sum: the
@@ -72,7 +82,6 @@ def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) 
     queued; otherwise every piece but the first largest (Hopcroft). The
     trace records each touched cell's sums and piece sizes."""
     n = len(cell_of)
-    trace = []
     queued = set(queue)
     for s in queue:
         if len(cells) == n:
@@ -83,16 +92,26 @@ def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) 
             for w, weight in nbrs[v]:
                 count[w] = count.get(w, 0) + weight
         for c in sorted({cell_of[w] for w in count}):
-            if len(cells[c]) == 1:
-                trace.append((c, count[cells[c][0]]))
+            cell = cells[c]
+            if len(cell) == 1:
+                if trace is not None:
+                    trace.append((c, count[cell[0]]))
+                continue
+            first = count.get(cell[0], 0)
+            for u in cell:
+                if count.get(u, 0) != first:
+                    break
+            else:
+                # One sum: no split.
+                if trace is not None:
+                    trace.append((c, ((first, len(cell)),)))
                 continue
             by_key: dict[int, list[int]] = {}
-            for u in cells[c]:
+            for u in cell:
                 by_key.setdefault(count.get(u, 0), []).append(u)
             keys = sorted(by_key)
-            trace.append((c, tuple((k, len(by_key[k])) for k in keys)))
-            if len(keys) == 1:
-                continue
+            if trace is not None:
+                trace.append((c, tuple((k, len(by_key[k])) for k in keys)))
             numbers = [c]
             cells[c] = by_key[keys[0]]
             for k in keys[1:]:
@@ -107,7 +126,6 @@ def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) 
                 del numbers[sizes.index(max(sizes))]
             queue.extend(numbers)
             queued.update(numbers)
-    return trace
 
 
 Partition = tuple[list[list[int]], list[int]]
@@ -173,7 +191,7 @@ class _Tree:
         self.partitions: list[Partition] = []    # partition at each level
         self.traces: list[list] = []             # trace one level further down
         partition = ([list(range(g.n))], [0] * g.n)
-        _refine(self.nbrs, *partition, [0])
+        _split(self.nbrs, *partition, [0], None)  # no other tree to compare with
         while len(partition[0]) < g.n:
             cell = _target_cell(partition[0])
             self.cells.append(cell)
@@ -231,13 +249,33 @@ def automorphisms(g: Graph, fixed: Sequence[Iterable[int]] = ()) -> list[Permuta
 
 def edge_orbits(g: Graph, generators: Iterable[Sequence[int]]) -> tuple[frozenset[int], ...]:
     """``orbits[e]``: the edges that the group generated by ``generators``
-    (vertex maps, assumed to be automorphisms) maps edge e to."""
-    parent = list(range(g.m))
+    (vertex maps, assumed to be automorphisms) maps edge e to. Each
+    generator becomes a map of edge indices, and an orbit is the closure of
+    one of its edges under those maps; a generator that maps a vertex out of
+    range or an edge to a non-edge raises ``ParameterError``."""
+    edge_to = g.edge_to
+    maps = []
     for perm in generators:
-        for eid, (u, v) in enumerate(g.edges):
-            _merge(parent, eid, g.edge_id(perm[u], perm[v]))
-    members: dict[int, list[int]] = {}
+        if any(x < 0 or x >= g.n for x in perm):
+            raise ParameterError(f"vertex map {tuple(perm)} leaves the range 0..{g.n - 1}")
+        emap = [edge_to[perm[u]].get(perm[v]) for u, v in g.edges]
+        if None in emap:
+            u, v = g.edges[emap.index(None)]
+            g.edge_id(perm[u], perm[v])  # raises ParameterError: not an edge
+        maps.append(emap)
+    orbits: list[Optional[frozenset[int]]] = [None] * g.m
     for eid in range(g.m):
-        members.setdefault(_root(parent, eid), []).append(eid)
-    orbit_of = {r: frozenset(es) for r, es in members.items()}
-    return tuple(orbit_of[_root(parent, eid)] for eid in range(g.m))
+        if orbits[eid] is not None:
+            continue
+        members = [eid]
+        seen = {eid}
+        for x in members:
+            for emap in maps:
+                y = emap[x]
+                if y not in seen:
+                    seen.add(y)
+                    members.append(y)
+        orbit = frozenset(members)
+        for x in members:
+            orbits[x] = orbit
+    return tuple(orbits)

@@ -383,6 +383,12 @@ def test_bench_json_and_csv(capsys):
     report = report_of(out)
     rows = report["result"]["rows"]
     assert [row["value"] for row in rows] == [2, 3]
+    assert all("seconds" not in row for row in rows)
+    assert len(report["timing"]["row_seconds"]) == len(rows)
+    # Wall-clock times live only in timing, so two runs match outside it.
+    _, again, _ = run_cli(capsys, "bench", "--min-n", "2", "--max-n", "3")
+    again = report_of(again)
+    assert {**report, "timing": None} == {**again, "timing": None}
     validate_schema(report)
     code, out, _ = run_cli(capsys, "bench", "--min-n", "2", "--max-n", "3", "--csv")
     assert code == 0

@@ -124,6 +124,23 @@ def test_solve_budget_decision_mode():
     assert at.value == 3
 
 
+def test_brute_force_solve_rejects_a_negative_max_size():
+    with pytest.raises(ParameterError, match="max_size must be >= 0"):
+        brute_force_solve(cycle(4), MP, max_size=-1)
+
+
+def test_first_qualifying_subsets_rejects_a_negative_max_size():
+    with pytest.raises(ParameterError, match="max_size must be >= 0"):
+        first_qualifying_subsets(cycle(4), [MP], max_size=-3)
+
+
+def test_precluding_subsets_rejects_a_negative_size():
+    # Also on a graph with no near-perfect matching, which yields nothing.
+    for g in (cycle(4), Graph(4, [])):
+        with pytest.raises(ParameterError, match="size must be >= 0"):
+            list(precluding_subsets(g, [2, -1]))
+
+
 def test_brute_force_solve_examples():
     assert brute_force_solve(k2(), MP).value == 1
     assert brute_force_solve(hypercube(3), MP).value == 3
@@ -530,17 +547,18 @@ def test_packing_bound_changes_only_stats(monkeypatch):
 
 
 def test_reuse_changes_only_stats(monkeypatch):
-    # The lex-min pass's bans from round k*'s path and the children's start
-    # from their parent's M_2 only skip work whose outcome is known, so with
-    # both off every answer is the same; only the work done may move.
+    # The lex-min pass's bans from round k*'s path and the children's starts
+    # from their parent's packing only skip work whose outcome is known, so
+    # with both off every answer is the same; only the work done may move.
     import random as _random
     from preclusion import matching, solver
     from preclusion.solver import _Search
     from conftest import relabel
-    searches = [0]
-    for module in (matching, solver):
-        def counted(*args, _search=module.augment_from):
-            searches[0] += 1
+    # Edmonds searches by calling module: maximize's, and the re-matching's
+    searches = {matching: 0, solver: 0}
+    for module in searches:
+        def counted(*args, _search=module.augment_from, _module=module):
+            searches[_module] += 1
             return _search(*args)
         monkeypatch.setattr(module, "augment_from", counted)
     rng = _random.Random(418)
@@ -554,7 +572,8 @@ def test_reuse_changes_only_stats(monkeypatch):
                 continue
             for deterministic in (False, True):
                 runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
-    reused_searches, searches[0] = searches[0], 0
+    reused = dict(searches)
+    searches.update(dict.fromkeys(searches, 0))
     lex_min, dfs = _Search._lex_min_witness, _Search._dfs
 
     def without_path_bans(self, k, known):
@@ -562,11 +581,12 @@ def test_reuse_changes_only_stats(monkeypatch):
         return lex_min(self, k, known)
 
     def without_warm(self, fault, banned, mates, k, removed=None, warm=None):
+        # no carried packing: every M_2 from M_1, every later M_(i+1) from M_i
         return dfs(self, fault, banned, mates, k, removed)
 
     monkeypatch.setattr(_Search, "_lex_min_witness", without_path_bans)
     monkeypatch.setattr(_Search, "_dfs", without_warm)
-    reused = plain = 0
+    reused_nodes = plain_nodes = 0
     for g, kind, deterministic, cert in runs:
         other = solve(g, kind, deterministic=deterministic)
         assert (cert.value, cert.reason) == (other.value, other.reason), (g.edges, kind)
@@ -574,10 +594,12 @@ def test_reuse_changes_only_stats(monkeypatch):
             assert cert.witness.members == other.witness.members, (g.edges, kind)
         if not deterministic:
             assert cert.stats["lexmin_nodes"] == 0
-        reused += cert.stats["nodes"]
-        plain += other.stats["nodes"]
-    assert reused < plain
-    assert reused_searches < searches[0]
+        reused_nodes += cert.stats["nodes"]
+        plain_nodes += other.stats["nodes"]
+    assert reused_nodes < plain_nodes
+    assert sum(reused.values()) < sum(searches.values())
+    # The carried packings leave maximize less to repair.
+    assert reused[matching] < searches[matching]
 
 
 def test_local_side_check_matches_components():
@@ -623,3 +645,13 @@ def test_orbit_bans_refute_q5_restricted_budget_7():
     assert cert.reason == "no 1-restricted matching preclusion set of size at most 7 exists"
     assert cert.stats["nodes"] <= 9000
     assert cert.stats["orbit_bans"] > 0 and cert.stats["automorphisms"] > 0
+
+
+def test_frontier_q6_restricted_budget_9():
+    # mp_1(Q6) >= 10, by search alone, in about 2.5 s. The node cap is the
+    # count before children carried their parent's whole packing: a change
+    # that weakens the packing bound crosses it.
+    cert = solve(hypercube(6), mp_s(1), budget=9)
+    assert cert.value == INFINITY
+    assert cert.reason == "no 1-restricted matching preclusion set of size at most 9 exists"
+    assert cert.stats["nodes"] <= 44_195

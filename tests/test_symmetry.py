@@ -159,9 +159,43 @@ def test_groups_fixing_edge_sets_are_complete():
                 assert edge_orbits(h, generators) == edge_orbits(h, stabiliser)
 
 
+def _union_find_orbits(g, generators):
+    """The edge orbits by merging each edge with its image under each
+    generator, the reference for :func:`edge_orbits`."""
+    parent = list(range(g.m))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for perm in generators:
+        for eid, (u, v) in enumerate(g.edges):
+            a, b = root(eid), root(g.edge_id(perm[u], perm[v]))
+            parent[max(a, b)] = min(a, b)
+    classes = {}
+    for eid in range(g.m):
+        classes.setdefault(root(eid), set()).add(eid)
+    return tuple(frozenset(classes[root(eid)]) for eid in range(g.m))
+
+
+def test_edge_orbits_match_a_union_find_reference():
+    rng = random.Random(508)
+    for g, _ in GROUPS:
+        for h in (g, relabel(g, rng), relabel(g, rng)):
+            generators = automorphisms(h)
+            subsets = [generators, []] + [rng.sample(generators, rng.randint(1, len(generators)))
+                                          for _ in range(4) if generators]
+            for gens in subsets:
+                assert edge_orbits(h, gens) == _union_find_orbits(h, gens), (h.edges, gens)
+
+
 def test_edge_orbits_reject_a_map_that_is_no_automorphism():
     with pytest.raises(ParameterError, match=r"\(1, 2\) is not an edge"):
         edge_orbits(hypercube(3), [(1, 0, 2, 3, 4, 5, 6, 7)])
+    # read as list indices, -1 - v would be the automorphism v -> 7 - v
+    with pytest.raises(ParameterError, match="leaves the range"):
+        edge_orbits(hypercube(3), [tuple(-1 - v for v in range(8))])
 
 
 def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
