@@ -293,6 +293,8 @@ def cmd_bench(parser, args) -> int:
     seconds = []
     min_n = 2 if args.min_n is None else args.min_n
     max_n = 3 if args.max_n is None else args.max_n
+    if min_n > max_n:
+        parser.error(f"--min-n {min_n} exceeds --max-n {max_n}: the sweep would be empty")
     for n in range(min_n, max_n + 1):
         g = hypercube(n)
         t0 = time.perf_counter()

@@ -393,21 +393,20 @@ def components(g: Graph, without: Optional[Iterable[int]] = None) -> ComponentRe
     ``g - f`` without building the deleted graph).
     """
     dead = frozenset() if without is None else edge_ids(g, without)
+    adj = g.adj
     seen = [False] * g.n
     comps: list[frozenset[int]] = []
     for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
         comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w, eid in g.adj[v]:
+        # Breadth-first: the loop walks comp as it grows.
+        for v in comp:
+            for w, eid in adj[v]:
                 if not seen[w] and eid not in dead:
                     seen[w] = True
                     comp.append(w)
-                    queue.append(w)
         comps.append(frozenset(comp))
     min_size = min((len(c) for c in comps), default=0)
     return ComponentReport(tuple(comps), min_size, len(comps) <= 1, g.n)

@@ -19,7 +19,11 @@ keeps M maximum unless M uses ab; then one Edmonds search from a, then from
 b, restores it. Only ab can split a component, so a search from a, then
 from b, capped at the floor or stopped on meeting the other endpoint,
 decides the rule. A lex-min candidate is a child of its fixed prefix, which
-needs no side check: it is a subset of a qualifying set.
+needs no side check: it is a subset of a qualifying set. The leaf that
+returns the witness W holds a maximum matching of g - W, so the evidence's
+nu is that leaf's, and only its components are computed afresh. The root's
+packing (below) does not depend on k, so all deepening rounds share one:
+each round extends it only past where earlier rounds stopped.
 
 Every fault set below a node (fault set F, banned set B, room r = k - |F|)
 is F + S with S avoiding B and |S| <= r. A greedy packing bound refutes
@@ -292,6 +296,9 @@ def _none_within(g: Graph, kind: ProblemKind, cap: Optional[int],
 
 
 def evidence_for(g: Graph, witness: Iterable[int]) -> Evidence:
+    """The evidence for ``witness``, recomputed from scratch: the
+    independent route that ``brute_force_solve`` takes and that checks the
+    evidence ``solve`` reads off its own search."""
     dead = edge_ids(g, witness)
     rep = components(g, without=dead)
     return Evidence(
@@ -320,7 +327,8 @@ class _Stats:
 
 
 class _Search:
-    """One solve's state: its root, its counters and its orbit cache."""
+    """One solve's state: its root and the root's packing, its counters and
+    its orbit cache."""
 
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
@@ -330,6 +338,14 @@ class _Search:
         self.m = g.m
         self.mates = maximum_matching_mates(g)
         self.root_side = not self.has_side or kind.side_holds(components(g))
+        # The root's packing (module docstring), kept across deepening rounds
+        # as _dfs left it: M_2, M_3, ..., the deleted set and the cut list
+        # U_1 + U_2 + ..., the children U_1, and whether the last M grew.
+        self.root_packing: tuple[list[list[int]], set[int], list[int]] = ([], set(), [])
+        self.root_children: Optional[list[int]] = None
+        self.root_grew = True
+        # nu(g - F) at the last leaf reached: the witness's, once one is found.
+        self.leaf_nu = 0
         self.stats = _Stats()
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
         # (F, B) of each node above a set found, deepest first: its fault set
@@ -398,7 +414,8 @@ class _Search:
             fault = fault | {removed}
             mates = self._mates_after(fault, mates, removed)
         room = k - len(fault)
-        leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
+        nu = (len(mates) - mates.count(-1)) // 2
+        leaf = nu <= self.threshold
         if not leaf and room <= 0:
             stats.budget_prunes += 1
             return None
@@ -409,22 +426,28 @@ class _Search:
             stats.side_prunes += 1
             return None
         if leaf:
+            self.leaf_nu = nu
             return fault
         # The packing bound (module docstring): M_1 is the node's matching,
         # and its unbanned part U_1 holds the children. Each M_(i+1) starts
         # from the parent's M_(i+1) in warm, less U_1..U_i, while warm lasts
         # (with no warm: M_2 from M_1), and from M_i less U_i after that.
+        # The root's packing does not depend on k, so each round resumes it
+        # where the last one left it: listing the U of its last M again if
+        # the room cut it there, past the end if an M failed.
         g = self.g
         edges = g.edges
         edge_to = g.edge_to
         odd = g.n % 2
         carried = (mates,) if warm is None else warm
-        dead = set(fault)
-        spent: list[int] = []
-        packings: list[list[int]] = []
-        packing = mates
-        children = None
-        while True:
+        if removed is None:
+            packings, dead, spent = self.root_packing
+            children, grew = self.root_children, self.root_grew
+        else:
+            packings, dead, spent = [], set(fault), []
+            children, grew = None, True
+        packing = packings[-1] if packings else mates
+        while grew:
             unbanned = [eid for v, w in enumerate(packing)
                         if w > v and (eid := edge_to[v][w]) not in banned]
             if not unbanned:
@@ -436,6 +459,8 @@ class _Search:
             spent += unbanned
             if children is None:
                 children = unbanned
+                if removed is None:
+                    self.root_children = children
             if len(packings) < len(carried):
                 packing, cut = carried[len(packings)].copy(), spent
             else:
@@ -445,8 +470,9 @@ class _Search:
                 if packing[a] == b:
                     packing[a] = packing[b] = -1
             packings.append(packing)
-            if not maximize(g, dead, packing, misses_allowed=odd):
-                break
+            grew = maximize(g, dead, packing, misses_allowed=odd)
+        if removed is None:
+            self.root_grew = False
         # The children get M_2 and each later M_(i+1) that grew near-perfect:
         # all packings but the last, which failed. Children at room 0 are
         # leaves or budget prunes: a near-perfect warm[0] settles those whose
@@ -570,8 +596,10 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     if deterministic:
         witness = search._lex_min_witness(len(witness), witness)
     edge_set = EdgeSet(g, witness)
-    return PreclusionCertificate(kind, len(witness), edge_set, evidence_for(g, edge_set),
-                                 stats=stats.as_dict())
+    # The witness's leaf held a maximum matching of g - witness.
+    rep = components(g, without=edge_set)
+    evidence = Evidence(search.leaf_nu, rep.min_size, rep.connected)
+    return PreclusionCertificate(kind, len(witness), edge_set, evidence, stats=stats.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,11 @@ def test_bench_json_and_csv(capsys):
     assert out.startswith("n,vertices,edges,value,nodes,seconds")
 
 
+@pytest.mark.parametrize("argv", [("--min-n", "3", "--max-n", "2"), ("--min-n", "4")])
+def test_bench_empty_sweep_is_a_usage_error(capsys, argv):
+    assert "the sweep would be empty" in usage_error(capsys, "bench", *argv)
+
+
 def test_report_round_trips_through_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "hypercube", "3", "2")
     assert code == 0

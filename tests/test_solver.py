@@ -338,11 +338,12 @@ def test_incremental_rematching_is_exact():
 
 def test_one_matching_and_one_report_per_solve(monkeypatch):
     # Every search node, lex-min candidates included, is one deletion step
-    # from the root, so a solve matches g from scratch once and takes at
-    # most one full components report before describing its witness.
+    # from the root, and the witness's leaf already holds a maximum matching
+    # of g - witness. So a whole solve matches g from scratch once, and takes
+    # one full components report for the root's side rule and one for the
+    # evidence, without calling evidence_for.
     from preclusion import petersen, solver
     calls = {"maximum_matching_mates": 0, "components": 0}
-    before_evidence = []
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -350,24 +351,76 @@ def test_one_matching_and_one_report_per_solve(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve recomputed its evidence")
+
     for name in calls:
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
-    evidence_for = solver.evidence_for
-
-    def evidence(g, witness):
-        before_evidence.append(dict(calls))
-        return evidence_for(g, witness)
-
-    monkeypatch.setattr(solver, "evidence_for", evidence)
+    monkeypatch.setattr(solver, "evidence_for", forbidden)
     for g in (hypercube(4), complete_bipartite(4, 4), petersen()):
         for kind in (MP, mp_s(1), AK):
             for deterministic in (False, True):
                 calls.update(dict.fromkeys(calls, 0))
-                before_evidence.clear()
                 assert solve(g, kind, deterministic=deterministic).feasible
                 expect = {"maximum_matching_mates": 1,
-                          "components": int(kind.has_side_condition)}
-                assert before_evidence == [expect], (g.edges, kind, deterministic)
+                          "components": int(kind.has_side_condition) + 1}
+                assert calls == expect, (g.edges, kind, deterministic)
+
+
+def test_solve_evidence_matches_evidence_for():
+    # solve reads nu(g - witness) off the leaf that found the witness, lex-min
+    # or not; evidence_for recomputes it from scratch.
+    import random
+    from preclusion import petersen
+    from preclusion.solver import evidence_for
+    from conftest import relabel
+    rng = random.Random(1507)
+    graphs = []
+    for g in (hypercube(3), hypercube(4), complete_bipartite(4, 4), petersen()):
+        graphs += [g, relabel(g, rng), relabel(g, rng)]
+    graphs += random_even_corpus(30, seed=1507)
+    feasible = 0
+    for g in graphs:
+        for kind in (MP, mp_s(1), mp_s(2), AK):
+            for deterministic in (False, True):
+                cert = solve(g, kind, deterministic=deterministic)
+                if not cert.feasible:
+                    continue
+                budgeted = solve(g, kind, budget=cert.value, deterministic=deterministic)
+                for c in (cert, budgeted):
+                    feasible += 1
+                    assert c.evidence == evidence_for(g, c.witness), (g.edges, kind, deterministic)
+    assert feasible >= 200
+
+
+def test_deepening_rounds_share_the_root_packing(monkeypatch):
+    # At the root (F = B = {}, no edge removed) the packing does not depend
+    # on k, so each M_(i+1) is grown there once per solve: no two root
+    # maximize calls see the same deleted set.
+    from preclusion import random_graph, solver
+    real_dfs, real_maximize = solver._Search._dfs, solver.maximize
+    at_root: list[bool] = []
+    grown: list[frozenset[int]] = []
+
+    def dfs(self, fault, banned, mates, k, removed=None, warm=None):
+        at_root.append(removed is None)
+        try:
+            return real_dfs(self, fault, banned, mates, k, removed, warm)
+        finally:
+            at_root.pop()
+
+    def maximize(g, dead, mate, misses_allowed):
+        if at_root[-1]:
+            grown.append(frozenset(dead))
+        return real_maximize(g, dead, mate, misses_allowed)
+
+    monkeypatch.setattr(solver._Search, "_dfs", dfs)
+    monkeypatch.setattr(solver, "maximize", maximize)
+    for g, kind, rounds in ((hypercube(4), mp_s(1), 7), (random_graph(6, 13, seed=0), MP, 4)):
+        grown.clear()
+        cert = solve(g, kind)
+        assert cert.stats["deepening_rounds"] == rounds
+        assert len(grown) >= 3 and len(set(grown)) == len(grown), (g.edges, kind)
 
 
 def test_deep_alternating_path_has_finite_certificates():
