@@ -70,22 +70,32 @@ def augment_from(g: Graph, dead: Container[int], mate: list[int], root: int) -> 
     their lowest common ancestor. Returns False, with ``mate`` untouched,
     when no augmenting path starts at ``root``. Iterative throughout, so
     path length is bounded by memory, not by the recursion limit.
+
+    The even vertices are exactly the queued ones (``used``): the root, the
+    mates of odd vertices, and every vertex of a contracted blossom. Until
+    the first blossom every vertex is its own base, so ``base`` is only
+    allocated there; a bipartite graph never needs it.
     """
     n = g.n
     adj = g.adj
     parent = [-1] * n
-    base = list(range(n))
+    base = None
     used = [False] * n
     used[root] = True
     queue = [root]
     for v in queue:
         mate_v = mate[v]
         for to, eid in adj[v]:
-            if base[v] == base[to] or mate_v == to or eid in dead:
+            if mate_v == to or eid in dead:
                 continue
-            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                # `to` is an even vertex of the tree: blossom found. Its base
-                # is the lowest common ancestor of v and to.
+            if used[to]:
+                # `to` is an even vertex of the tree: blossom found, unless
+                # v already lies in to's blossom. Its base is the lowest
+                # common ancestor of v and to.
+                if base is None:
+                    base = list(range(n))
+                elif base[v] == base[to]:
+                    continue
                 seen = [False] * n
                 x = v
                 while True:
@@ -140,21 +150,35 @@ def maximize(g: Graph, dead: Container[int], mate: list[int], misses_allowed: in
     suffices, and every such vertex stays free. Stop and return False once
     more than ``misses_allowed`` vertices are found without an augmenting
     path; otherwise return True."""
-    n = g.n
     adj = g.adj
-    for u in range(n):
-        if mate[u] == -1:
-            for w, eid in adj[u]:
-                if mate[w] == -1 and eid not in dead:
-                    mate[u] = w
-                    mate[w] = u
-                    break
+    # Both passes visit only the free vertices, in increasing order, found
+    # in C. Each new partner is a later vertex: an earlier free one would
+    # have taken it greedily, or found the augmenting path from its own end.
+    free = mate.count(-1)
+    u = 0
+    while free:
+        u = mate.index(-1, u)
+        free -= 1
+        for w, eid in adj[u]:
+            if mate[w] == -1 and eid not in dead:
+                mate[u] = w
+                mate[w] = u
+                free -= 1
+                break
+        u += 1
     misses = 0
-    for v in range(n):
-        if mate[v] == -1 and not augment_from(g, dead, mate, v):
+    free = mate.count(-1)
+    v = 0
+    while free:
+        v = mate.index(-1, v)
+        if augment_from(g, dead, mate, v):
+            free -= 2
+        else:
+            free -= 1
             misses += 1
             if misses > misses_allowed:
                 return False
+        v += 1
     return True
 
 

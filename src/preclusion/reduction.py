@@ -207,8 +207,12 @@ def fuzz_equivalence(seed: int = 0, count: int = 200, s_values: Sequence[int] = 
     any disagreements found."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if not s_values:
+        raise ParameterError("s_values must name at least one restriction level")
     if any(s < 1 for s in s_values):
         raise ParameterError(f"restriction levels must be >= 1, got {list(s_values)}")
+    if t_max < 1:
+        raise ParameterError(f"t_max must be >= 1, got {t_max}")
     rng = random.Random(seed)
     disagreements = []
     checks = 0

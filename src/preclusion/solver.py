@@ -74,15 +74,40 @@ so the search still returns it. ``symmetry.automorphisms`` finds the
 generators of Gamma and checks each one, and returns after one refinement
 when that is discrete. Two fixed rules keep the cost where the search has
 already spent as much: a node computes orbits only after a refuted child's
-subtree took at least m nodes, and orbits are cached per (F, B) for the solve.
+subtree took at least n // 2 nodes (the size of a perfect matching), and
+orbits are cached per (F, B) for the solve. Pendant bans (below) shrink
+refuted subtrees, so a gate of m nodes starved the bans: with it the
+``hypercube`` benchmark's seed-1 instances took 11,519 nodes against 7,342
+with neither rule, and Q4 mp_1 banned 31 edges by orbit instead of 71. A
+gate of n nodes left too few runs banning at all; at n // 2 every benchmark
+instance checked (``hypercube`` seeds 1-6, ``random`` seeds 1-3) takes no
+more nodes than with neither rule, and seed 1's total is 4,381.
 ``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
 themselves, and ``stats["automorphisms"]`` the checked generators found.
 
+Pendant bans. Under a component floor of 2 or more (``mp_s(s)`` with
+s >= 1, and ``ak``) no qualifying set through F deletes the last live edge
+of a vertex of g - F, since that isolates the vertex. So a node bans every
+such edge: the root those of g's degree-1 vertices, any other node those at
+the two ends of the edge it deleted, the only vertices that lost an edge
+(its parent banned the rest). The cut is exact, and the other bans stay
+sound with it in B: the pendant set is a function of F, so every
+automorphism fixing F fixes it, and no qualifying set through F_d contains
+it, so the lex-min pass may ban it or refute a candidate holding it. It
+also strengthens the packing bound. Such an edge lies in every perfect
+matching of g - F; in U_1 it left g - F - U_1 with an isolated vertex, and
+on even order the packing at one matching, while banned it stays in every
+M_i. With both rules, Q5 mp_1 at budget 7 takes 975 nodes instead of
+2,267, its budget prunes fall from 458 to 1 and its side prunes from 90 to
+0. ``stats["pendant_bans"]`` counts the edges banned so, node by node, like
+``orbit_bans``.
+
 The lex-min pass reuses the refutations of round k*, the round that found
 the first set. Let node d on the path to that set hold F_d, and B_d, the
-banned set it held when it descended: its inherited bans, its refuted
-earlier children and their orbits. The root bans nothing, so by the
-induction that makes sibling and orbit bans exact, every qualifying set of
+banned set it held when it descended: its inherited bans, its pendant
+edges, its refuted earlier children and their orbits. The root bans only
+edges that no qualifying set holds, so by the induction that makes sibling,
+orbit and pendant bans exact, every qualifying set of
 size <= k* through F_d avoids B_d, not only those that avoid d's inherited
 bans. A lex-min candidate whose fault set holds F_d therefore bans B_d too,
 and one whose fault set meets B_d is refuted without a search. At d = 0 this
@@ -316,7 +341,7 @@ class _Stats:
     """The search's counters, reported as ``stats`` under these names."""
 
     __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
-                 "automorphisms", "deepening_rounds", "lexmin_nodes")
+                 "pendant_bans", "automorphisms", "deepening_rounds", "lexmin_nodes")
 
     def __init__(self):
         for name in self.__slots__:
@@ -335,7 +360,12 @@ class _Search:
         self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
         self.threshold = g.n // 2 - 1
-        self.m = g.m
+        # Pendant bans (module docstring) need a floor of 2; at the root they
+        # are the edges of g's degree-1 vertices.
+        self.pendant = self.floor >= 2
+        self.root_pendant = frozenset(nbrs[0][1] for nbrs in g.adj if len(nbrs) == 1)
+        # The orbit gate, in nodes: the size of a perfect matching.
+        self.gate = g.n // 2
         self.mates = maximum_matching_mates(g)
         self.root_side = not self.has_side or kind.side_holds(components(g))
         # The root's packing (module docstring), kept across deepening rounds
@@ -428,6 +458,27 @@ class _Search:
         if leaf:
             self.leaf_nu = nu
             return fault
+        # Pendant bans (module docstring): below the root only the ends of
+        # the edge just deleted can have one live edge left.
+        if self.pendant:
+            if removed is None:
+                pendant = self.root_pendant
+            else:
+                pendant = set()
+                adj = self.g.adj
+                for x in (a, b):
+                    last = -1
+                    for _, eid in adj[x]:
+                        if eid not in fault:
+                            if last != -1:
+                                break
+                            last = eid
+                    else:
+                        if last not in banned:
+                            pendant.add(last)
+            if pendant:
+                stats.pendant_bans += len(pendant)
+                banned = banned | pendant
         # The packing bound (module docstring): M_1 is the node's matching,
         # and its unbanned part U_1 holds the children. Each M_(i+1) starts
         # from the parent's M_(i+1) in warm, less U_1..U_i, while warm lasts
@@ -448,12 +499,17 @@ class _Search:
             children, grew = None, True
         packing = packings[-1] if packings else mates
         while grew:
+            if len(packings) >= room:
+                # The room cuts the node at this matching unless its U is
+                # empty, which refutes it at every k: one unbanned edge tells.
+                for v, w in enumerate(packing):
+                    if w > v and edge_to[v][w] not in banned:
+                        stats.bound_prunes += 1
+                        break
+                return None
             unbanned = [eid for v, w in enumerate(packing)
                         if w > v and (eid := edge_to[v][w]) not in banned]
             if not unbanned:
-                return None
-            if len(packings) >= room:
-                stats.bound_prunes += 1
                 return None
             dead.update(unbanned)
             spent += unbanned
@@ -494,11 +550,11 @@ class _Search:
                 return result
             cur_banned = cur_banned | {eid}
             # Orbit bans (module docstring): once a refuted child's subtree
-            # took m nodes, ban the orbits of every child refuted so far,
-            # and from then on the orbit of each refuted child.
+            # took n // 2 nodes, ban the orbits of every child refuted so
+            # far, and from then on the orbit of each refuted child.
             if orbits is not None:
                 grown = cur_banned | orbits[eid]
-            elif stats.nodes - start >= self.m:
+            elif stats.nodes - start >= self.gate:
                 orbits = self._edge_orbits(fault, banned)
                 grown = cur_banned.union(*(orbits[e] for e in cur_banned - banned))
             else:
@@ -699,6 +755,8 @@ def chain_suite(seed: int = 0, count: int = 100, max_s: int = 3) -> dict:
     carries its seed."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    if max_s < 0:
+        raise ParameterError(f"max_s must be >= 0, got {max_s}")
     rng = random.Random(seed)
     violations = []
     for index in range(count):

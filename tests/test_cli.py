@@ -77,8 +77,8 @@ def test_schema_gives_stats_a_shape(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "solve", str(path), "--mode", "mp")
     report = report_of(out)
     assert set(report["stats"]) == {"nodes", "budget_prunes", "side_prunes", "bound_prunes",
-                                    "orbit_bans", "automorphisms", "deepening_rounds",
-                                    "lexmin_nodes"}
+                                    "orbit_bans", "pendant_bans", "automorphisms",
+                                    "deepening_rounds", "lexmin_nodes"}
     validate_schema(report)
     for broken in ({"nodes": 1}, dict(report["stats"], nodes=-1),
                    dict(report["stats"], side_prunes="0"), []):

@@ -154,3 +154,122 @@ def test_near_perfect_masks_are_matchings():
             ids = [e for e in range(g.m) if (mask >> e) & 1]
             m = matching_from_edge_ids(g, ids)  # raises if adjacent
             assert m.size == target
+
+
+def _reference_augment_from(g, dead, mate, root, blossoms):
+    """Edmonds' search as it stood before the even-vertex test read ``used``
+    and ``base`` became lazy, kept verbatim apart from counting blossoms."""
+    n = g.n
+    adj = g.adj
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    queue = [root]
+    for v in queue:
+        mate_v = mate[v]
+        for to, eid in adj[v]:
+            if base[v] == base[to] or mate_v == to or eid in dead:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                blossoms[0] += 1
+                seen = [False] * n
+                x = v
+                while True:
+                    x = base[x]
+                    seen[x] = True
+                    if mate[x] == -1:
+                        break
+                    x = parent[mate[x]]
+                x = to
+                while not seen[base[x]]:
+                    x = parent[mate[base[x]]]
+                top = base[x]
+                in_blossom = [False] * n
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != top:
+                        in_blossom[base[x]] = True
+                        in_blossom[base[mate[x]]] = True
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = top
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    while to != -1:
+                        pv = parent[to]
+                        after = mate[pv]
+                        mate[to] = pv
+                        mate[pv] = to
+                        to = after
+                    return True
+                used[mate[to]] = True
+                queue.append(mate[to])
+    return False
+
+
+def _reference_maximize(g, dead, mate, misses_allowed, blossoms):
+    """The greedy pass and the per-vertex searches over all of range(n)."""
+    for u in range(g.n):
+        if mate[u] == -1:
+            for w, eid in g.adj[u]:
+                if mate[w] == -1 and eid not in dead:
+                    mate[u] = w
+                    mate[w] = u
+                    break
+    misses = 0
+    for v in range(g.n):
+        if mate[v] == -1 and not _reference_augment_from(g, dead, mate, v, blossoms):
+            misses += 1
+            if misses > misses_allowed:
+                return False
+    return True
+
+
+def test_augment_from_and_maximize_match_a_reference_search():
+    # The even-vertex test reads `used` and `base` is allocated at the first
+    # blossom; maximize finds the free vertices with list.count/list.index.
+    # Each must leave the same mate array and return the same answer as the
+    # plain search, from every free root of random partial matchings of
+    # random subgraphs.
+    import random
+    from preclusion import random_bipartite_with_pm, random_graph
+    from preclusion.matching import augment_from, maximize
+    rng = random.Random(1616)
+    blossoms = [0]
+    cases = {True: 0, False: 0}
+    for index in range(720):
+        if index % 2:
+            t = rng.randint(1, 8)
+            g = random_bipartite_with_pm(t, rng.choice((0.2, 0.4, 0.7)), seed=rng.randrange(2**32))
+        else:
+            n = rng.randint(2, 16)
+            g = random_graph(n, rng.randint(0, min(40, n * (n - 1) // 2)),
+                             seed=rng.randrange(2**32))
+        for _ in range(3):
+            dead = frozenset(rng.sample(range(g.m), rng.randint(0, g.m // 3)))
+            live = [eid for eid in range(g.m) if eid not in dead]
+            rng.shuffle(live)
+            mate = [-1] * g.n
+            for eid in live[:rng.randint(0, len(live))]:
+                u, v = g.edges[eid]
+                if mate[u] == mate[v] == -1:
+                    mate[u], mate[v] = v, u
+            for root in (v for v in range(g.n) if mate[v] == -1):
+                got, want = mate.copy(), mate.copy()
+                found = augment_from(g, dead, got, root)
+                assert found == _reference_augment_from(g, dead, want, root, blossoms)
+                assert got == want, (g.edges, sorted(dead), mate, root)
+                cases[found] += 1
+            misses_allowed = rng.choice((0, 1, g.n))
+            got, want = mate.copy(), mate.copy()
+            assert (maximize(g, dead, got, misses_allowed)
+                    == _reference_maximize(g, dead, want, misses_allowed, blossoms))
+            assert got == want, (g.edges, sorted(dead), mate)
+    assert min(cases.values()) >= 2000 and blossoms[0] >= 1500, (cases, blossoms)

@@ -264,6 +264,19 @@ def test_equivalence_checks_reject_vacuous_parameters():
             fuzz_equivalence(seed=1, count=1, s_values=s_values)
 
 
+def test_fuzz_equivalence_rejects_no_restriction_level():
+    # No level means no check: the report would pass after 0 checks.
+    with pytest.raises(ParameterError, match="at least one restriction level"):
+        fuzz_equivalence(seed=1, count=1, s_values=())
+
+
+def test_fuzz_equivalence_rejects_a_source_size_below_one():
+    # random.randint(1, 0) would raise a bare ValueError.
+    for t_max in (0, -2):
+        with pytest.raises(ParameterError, match="t_max must be >= 1"):
+            fuzz_equivalence(seed=1, count=1, t_max=t_max)
+
+
 def test_gadget_values_track_source_value():
     # ak(G') and mp_s(G') equal mp(G) + 1 on small instances
     for seed in range(8):

@@ -141,6 +141,13 @@ def test_precluding_subsets_rejects_a_negative_size():
             list(precluding_subsets(g, [2, -1]))
 
 
+def test_chain_suite_rejects_a_negative_max_s():
+    # With no kind to solve the chain is empty and would pass vacuously.
+    from preclusion import chain_suite
+    with pytest.raises(ParameterError, match="max_s must be >= 0"):
+        chain_suite(seed=1, count=1, max_s=-1)
+
+
 def test_brute_force_solve_examples():
     assert brute_force_solve(k2(), MP).value == 1
     assert brute_force_solve(hypercube(3), MP).value == 3
@@ -655,6 +662,47 @@ def test_reuse_changes_only_stats(monkeypatch):
     assert reused[matching] < searches[matching]
 
 
+def test_pendant_bans_change_only_stats(monkeypatch):
+    # Under a component floor of 2 or more no qualifying set deletes a
+    # vertex's last live edge, so banning it cuts only refuted branches:
+    # DFS finds the same first set, lex-min or not, in no more nodes. Below
+    # a floor of 2 the rule is off and every counter stays as it was.
+    import random as _random
+    from preclusion.solver import _Search
+    from conftest import relabel
+    rng = _random.Random(1616)
+    graphs = _bound_corpus() + [relabel(g, rng) for g in (hypercube(3), hypercube(3),
+                                                          hypercube(4), hypercube(4),
+                                                          complete_bipartite(4, 4),
+                                                          complete_bipartite(4, 4))]
+    runs = []
+    for g in graphs:
+        for kind in (MP, mp_s(0), mp_s(1), mp_s(2), AK):
+            if kind == AK and g.n % 2:
+                continue
+            for deterministic in (False, True):
+                runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
+    init = _Search.__init__
+
+    def without_pendant_bans(self, g, kind):
+        init(self, g, kind)
+        self.pendant = False
+
+    monkeypatch.setattr(_Search, "__init__", without_pendant_bans)
+    banning = 0
+    for g, kind, deterministic, cert in runs:
+        plain = solve(g, kind, deterministic=deterministic)
+        assert (cert.value, cert.reason) == (plain.value, plain.reason), (g.edges, kind)
+        if cert.feasible:
+            assert cert.witness == plain.witness, (g.edges, kind)
+        assert cert.stats["nodes"] <= plain.stats["nodes"], (g.edges, kind)
+        assert plain.stats["pendant_bans"] == 0
+        if kind.component_floor(g.n) < 2:
+            assert cert.stats == plain.stats, (g.edges, kind)
+        banning += cert.stats["pendant_bans"] > 0
+    assert banning >= len(runs) // 4
+
+
 def test_local_side_check_matches_components():
     # Below the root the search checks only the edge it just deleted; from
     # a fault set that met the rule, that must agree with a full report.
@@ -692,19 +740,21 @@ def test_packing_bound_proves_mp_of_q6():
 
 def test_orbit_bans_refute_q5_restricted_budget_7():
     # mp_1(Q5) = 8. Orbit bans stop the search from refuting every symmetric
-    # image of a refuted branch again; without them this takes 74,057 nodes.
+    # image of a refuted branch again; without them this takes 53,205 nodes.
+    # The cap is the count with pendant bans and the n // 2 orbit gate.
     cert = solve(hypercube(5), mp_s(1), budget=7)
     assert cert.value == INFINITY
     assert cert.reason == "no 1-restricted matching preclusion set of size at most 7 exists"
-    assert cert.stats["nodes"] <= 9000
+    assert cert.stats["nodes"] <= 975
     assert cert.stats["orbit_bans"] > 0 and cert.stats["automorphisms"] > 0
 
 
 def test_frontier_q6_restricted_budget_9():
-    # mp_1(Q6) >= 10, by search alone, in about 2.5 s. The node cap is the
-    # count before children carried their parent's whole packing: a change
-    # that weakens the packing bound crosses it.
+    # mp_1(Q6) >= 10, by search alone, in about 1.5 s. The node cap is the
+    # count with carried packings, pendant bans and the n // 2 orbit gate: a
+    # change that weakens the packing bound or the bans crosses it.
     cert = solve(hypercube(6), mp_s(1), budget=9)
     assert cert.value == INFINITY
     assert cert.reason == "no 1-restricted matching preclusion set of size at most 9 exists"
-    assert cert.stats["nodes"] <= 44_195
+    assert cert.stats["nodes"] <= 26_691
+    assert cert.stats["orbit_bans"] > 0 and cert.stats["automorphisms"] > 0
