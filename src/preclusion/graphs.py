@@ -134,9 +134,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(nbrs) for nbrs in self.adj), default=0)
 
-    def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self.adj), default=0)
-
     def same_labelling(self, other: "Graph") -> bool:
         """True when edge indices of ``self`` and ``other`` are interchangeable."""
         return self is other or (self.n == other.n and self.edges == other.edges)
@@ -344,6 +341,7 @@ def random_bipartite_with_pm(t: int, extra_edge_prob: float, seed: int) -> Graph
         raise ParameterError(f"side size must be >= 1, got {t}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ParameterError(f"probability must lie in [0, 1], got {extra_edge_prob}")
+    _check_size(2 * t, t)
     rng = random.Random(seed)
     edges = [(i, t + i) for i in range(t)]
     for i in range(t):
@@ -354,15 +352,22 @@ def random_bipartite_with_pm(t: int, extra_edge_prob: float, seed: int) -> Graph
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
-    """Uniform random simple graph with ``n`` vertices and ``m`` edges."""
+    """Uniform random simple graph with ``n`` vertices and ``m`` edges: ``m``
+    ranks sampled among the vertex pairs in lexicographic order, unranked."""
     if n < 1:
         raise ParameterError(f"need at least 1 vertex, got {n}")
     max_m = n * (n - 1) // 2
     if not 0 <= m <= max_m:
         raise ParameterError(f"edge count {m} out of range for n={n}")
-    rng = random.Random(seed)
-    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, sorted(rng.sample(all_pairs, m)))
+    _check_size(n, m)
+    edges = []
+    i = first = 0  # first: the rank of the pair (i, i + 1)
+    for rank in sorted(random.Random(seed).sample(range(max_m), m)):
+        while rank >= first + n - 1 - i:
+            first += n - 1 - i
+            i += 1
+        edges.append((i, i + 1 + rank - first))
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,22 @@ problem, connectivity for anti-Kekule - are one component floor
 (``ProblemKind.component_floor``) and antitone under deletion, so a branch
 dies as soon as one fails.
 
-A solve has one root: g's maximum matching and side-rule status, computed
-once; they also answer the INFINITY precheck. Every other node, lex-min
-candidates included, is one deletion step from its parent. Deleting ab
-keeps M maximum unless M uses ab; then one Edmonds search from a, then from
-b, restores it. Only ab can split a component, so a search from a, then
-from b, capped at the floor or stopped on meeting the other endpoint,
-decides the rule. A lex-min candidate is a child of its fixed prefix, which
-needs no side check: it is a subset of a qualifying set. The leaf that
-returns the witness W holds a maximum matching of g - W, so the evidence's
-nu is that leaf's, and only its components are computed afresh. The root's
-packing (below) does not depend on k, so all deepening rounds share one:
-each round extends it only past where earlier rounds stopped.
+The search is a node step and a driver. The node step takes one child, one
+deletion step from its parent, and returns its outcome: None when pruned,
+else its F, B, M, children (none at a leaf) and their warm start. It
+re-matches (deleting ab keeps M maximum unless M uses ab; then one Edmonds
+search from a, then from b, restores it), then applies the room-0 shortcut,
+the budget, the side rule (only ab can split a component, so a search from
+a, then from b, capped at the floor or stopped on meeting the other
+endpoint, decides it), the leaf test, pendant bans and the packing bound.
+The driver owns the root, the children loop with its sibling and orbit
+bans, the deepening rounds and the lex-min pass. The root's matching and
+side status also answer the INFINITY precheck; its pendant bans and packing
+do not depend on k, so every round reads them, and each packed matching is
+grown in the first round that reaches it. A set W found comes back with its
+leaf's matching, a maximum one of g - W, for the evidence's nu, and with its
+(F, B) path, for the lex-min pass, whose candidates are children of their
+fixed prefix: a subset of a qualifying set, it needs no side check.
 
 Every fault set below a node (fault set F, banned set B, room r = k - |F|)
 is F + S with S avoiding B and |S| <= r. A greedy packing bound refutes
@@ -129,7 +133,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
@@ -219,6 +223,11 @@ class ProblemKind:
         """Whether the components of g - F meet :meth:`component_floor`."""
         return rep.min_size >= self.component_floor(rep.n)
 
+    def check_order(self, n: int) -> None:
+        """Refuse ``ak`` on odd order: Kekule structures are perfect matchings."""
+        if self.name == "ak" and n % 2 == 1:
+            raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
+
 
 MP = ProblemKind("mp")
 AK = ProblemKind("ak")
@@ -283,8 +292,7 @@ def is_anti_kekule_set(g: Graph, f: Iterable[int]) -> bool:
     """True when g - f stays connected but loses every perfect matching.
     Only defined on even order (Kekule structures are perfect matchings)."""
     dead = edge_ids(g, f)
-    if g.n % 2 == 1:
-        raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
+    AK.check_order(g.n)
     if not AK.side_holds(components(g, without=dead)):
         return False
     return matching_number_excluding(g, dead) <= g.n // 2 - 1
@@ -352,35 +360,21 @@ class _Stats:
 
 
 class _Search:
-    """One solve's state: its root and the root's packing, its counters and
-    its orbit cache."""
+    """One solve's state: its root, its counters and its orbit cache."""
 
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
         self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
         self.threshold = g.n // 2 - 1
-        # Pendant bans (module docstring) need a floor of 2; at the root they
-        # are the edges of g's degree-1 vertices.
+        # Pendant bans (module docstring) need a floor of 2.
         self.pendant = self.floor >= 2
-        self.root_pendant = frozenset(nbrs[0][1] for nbrs in g.adj if len(nbrs) == 1)
         # The orbit gate, in nodes: the size of a perfect matching.
         self.gate = g.n // 2
         self.mates = maximum_matching_mates(g)
         self.root_side = not self.has_side or kind.side_holds(components(g))
-        # The root's packing (module docstring), kept across deepening rounds
-        # as _dfs left it: M_2, M_3, ..., the deleted set and the cut list
-        # U_1 + U_2 + ..., the children U_1, and whether the last M grew.
-        self.root_packing: tuple[list[list[int]], set[int], list[int]] = ([], set(), [])
-        self.root_children: Optional[list[int]] = None
-        self.root_grew = True
-        # nu(g - F) at the last leaf reached: the witness's, once one is found.
-        self.leaf_nu = 0
         self.stats = _Stats()
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
-        # (F, B) of each node above a set found, deepest first: its fault set
-        # and the banned set it held when it descended towards that set.
-        self.path: list[tuple[frozenset[int], frozenset[int]]] = []
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and stays so (shared, never
@@ -399,15 +393,10 @@ class _Search:
             augment_from(self.g, dead, mates, b)
         return mates
 
-    def _side_holds(self, dead: frozenset[int], removed: Optional[int]) -> bool:
-        """Whether g - dead meets the component floor. At the root
-        (``removed`` None) that is g's status, cached by the constructor.
-        Below it, g - (dead - ab) met the floor, where ab is the edge
-        ``removed``, and deleting ab can only split the component of a and
-        b: a search from a, then from b, that meets the other endpoint or
-        collects ``floor`` vertices settles it."""
-        if removed is None:
-            return self.root_side
+    def _side_holds(self, dead: frozenset[int], removed: int) -> bool:
+        """Whether g - dead meets the component floor, given that g - dead + ab
+        did for ab the edge ``removed``: a search from a, then from b, that
+        meets the other endpoint or collects ``floor`` vertices settles it."""
         adj = self.g.adj
         floor = self.floor
         ends = self.g.edges[removed]
@@ -425,86 +414,73 @@ class _Search:
                 return False
         return True
 
-    def _dfs(self, fault: frozenset[int], banned: frozenset[int], mates: list[int],
-             k: int, removed: Optional[int] = None,
-             warm: Optional[tuple[list[int], ...]] = None) -> Optional[frozenset[int]]:
-        """The first qualifying set of size <= ``k`` below the node that
-        deletes the edge ``removed`` from its parent, which holds the fault
-        set ``fault`` and the maximum matching ``mates`` (the root: no edge,
-        and g's own), avoiding ``banned``; None if there is none. ``warm`` is
-        the parent's packing (M_2, M_3, ...) or, at room 0, a tuple whose
-        first entry is a near-perfect matching of g - F (module docstring)."""
+    def _step(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], k: int,
+              removed: int, warm: Optional[tuple[list[int], ...]]) -> Optional[tuple]:
+        """The node step for the child deleting ``removed`` from the node
+        (``fault``, ``banned``, maximum matching ``mates``, packing ``warm``:
+        M_2, M_3, ...; at room 0, a near-perfect matching of g - F first).
+        Its outcome is None or (F, B, M, children, warm), children None at a
+        leaf."""
         stats = self.stats
         stats.nodes += 1
-        if removed is not None:
-            a, b = self.g.edges[removed]
-            if warm is not None and len(fault) + 1 == k and warm[0][a] != b:
-                stats.budget_prunes += 1
-                return None
-            fault = fault | {removed}
-            mates = self._mates_after(fault, mates, removed)
-        room = k - len(fault)
-        nu = (len(mates) - mates.count(-1)) // 2
-        leaf = nu <= self.threshold
-        if not leaf and room <= 0:
+        a, b = self.g.edges[removed]
+        if warm is not None and len(fault) + 1 == k and warm[0][a] != b:
             stats.budget_prunes += 1
             return None
-        # The side rule is antitone under further deletion, so a violation
-        # at an internal node kills the whole branch. Below the root only
-        # the edge just deleted needs checking.
+        fault = fault | {removed}
+        mates = self._mates_after(fault, mates, removed)
+        leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
+        if not leaf and len(fault) >= k:
+            stats.budget_prunes += 1
+            return None
         if self.has_side and not self._side_holds(fault, removed):
             stats.side_prunes += 1
             return None
         if leaf:
-            self.leaf_nu = nu
-            return fault
-        # Pendant bans (module docstring): below the root only the ends of
-        # the edge just deleted can have one live edge left.
+            return fault, banned, mates, None, None
+        # Pendant bans (module docstring): only the ends of the edge just
+        # deleted can have one live edge left.
         if self.pendant:
-            if removed is None:
-                pendant = self.root_pendant
-            else:
-                pendant = set()
-                adj = self.g.adj
-                for x in (a, b):
-                    last = -1
-                    for _, eid in adj[x]:
-                        if eid not in fault:
-                            if last != -1:
-                                break
-                            last = eid
-                    else:
-                        if last not in banned:
-                            pendant.add(last)
+            pendant = set()
+            for x in (a, b):
+                last = -1
+                for _, eid in self.g.adj[x]:
+                    if eid not in fault:
+                        if last != -1:
+                            break
+                        last = eid
+                else:
+                    if last not in banned:
+                        pendant.add(last)
             if pendant:
                 stats.pendant_bans += len(pendant)
                 banned = banned | pendant
-        # The packing bound (module docstring): M_1 is the node's matching,
-        # and its unbanned part U_1 holds the children. Each M_(i+1) starts
-        # from the parent's M_(i+1) in warm, less U_1..U_i, while warm lasts
-        # (with no warm: M_2 from M_1), and from M_i less U_i after that.
-        # The root's packing does not depend on k, so each round resumes it
-        # where the last one left it: listing the U of its last M again if
-        # the room cut it there, past the end if an M failed.
+        return self._pack(fault, banned, mates, k - len(fault), warm, [], [], set(fault))
+
+    def _pack(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], room: int,
+              warm: Optional[tuple[list[int], ...]], packings: list[list[int]],
+              cuts: list[list[int]], dead: set[int]) -> Optional[tuple]:
+        """The packing bound of the node (F, B, M_1) at ``room``: grow M_2,
+        M_3, ... past ``packings``, those grown so far (the root keeps its
+        lists for every round), with ``cuts`` the parts U_1, U_2, ... listed
+        so far and ``dead`` F plus the cuts, until more than ``room`` refute
+        the node (None) or one fails: then the outcome. Each M_(i+1) starts
+        from ``warm``'s less U_1..U_i while ``warm`` lasts (with none, M_2
+        from M_1), and from M_i less U_i after that."""
         g = self.g
         edges = g.edges
         edge_to = g.edge_to
         odd = g.n % 2
         carried = (mates,) if warm is None else warm
-        if removed is None:
-            packings, dead, spent = self.root_packing
-            children, grew = self.root_children, self.root_grew
-        else:
-            packings, dead, spent = [], set(fault), []
-            children, grew = None, True
         packing = packings[-1] if packings else mates
+        grew = not packings or packing.count(-1) <= odd
         while grew:
             if len(packings) >= room:
                 # The room cuts the node at this matching unless its U is
                 # empty, which refutes it at every k: one unbanned edge tells.
                 for v, w in enumerate(packing):
                     if w > v and edge_to[v][w] not in banned:
-                        stats.bound_prunes += 1
+                        self.stats.bound_prunes += 1
                         break
                 return None
             unbanned = [eid for v, w in enumerate(packing)
@@ -512,13 +488,9 @@ class _Search:
             if not unbanned:
                 return None
             dead.update(unbanned)
-            spent += unbanned
-            if children is None:
-                children = unbanned
-                if removed is None:
-                    self.root_children = children
+            cuts.append(unbanned)
             if len(packings) < len(carried):
-                packing, cut = carried[len(packings)].copy(), spent
+                packing, cut = carried[len(packings)].copy(), chain.from_iterable(cuts)
             else:
                 packing, cut = packing.copy(), unbanned
             for eid in cut:
@@ -527,8 +499,6 @@ class _Search:
                     packing[a] = packing[b] = -1
             packings.append(packing)
             grew = maximize(g, dead, packing, misses_allowed=odd)
-        if removed is None:
-            self.root_grew = False
         # The children get M_2 and each later M_(i+1) that grew near-perfect:
         # all packings but the last, which failed. Children at room 0 are
         # leaves or budget prunes: a near-perfect warm[0] settles those whose
@@ -537,17 +507,29 @@ class _Search:
             warm = tuple(packings[:-1] or packings)
         elif warm is not None and warm[0].count(-1) > odd:
             warm = None
+        cuts[0].sort()
+        return fault, banned, mates, cuts[0], warm
+
+    def _below(self, k: int, fault: frozenset[int], banned: frozenset[int], mates: list[int],
+               children: Optional[list[int]], warm: Optional[tuple[list[int], ...]]
+               ) -> Optional[tuple[frozenset[int], list[int], list]]:
+        """The driver below a node's outcome: the first qualifying set of size
+        <= ``k`` there, its leaf's matching and its path, the (F, B) of each
+        node above it as it descended, deepest first; or None."""
+        if children is None:
+            return fault, mates, []
+        stats = self.stats
         cur_banned = banned
         orbits = None
-        children.sort()
         for eid in children:
             if eid in cur_banned:
                 continue
             start = stats.nodes
-            result = self._dfs(fault, cur_banned, mates, k, eid, warm)
-            if result is not None:
-                self.path.append((fault, cur_banned))
-                return result
+            node = self._step(fault, cur_banned, mates, k, eid, warm)
+            found = node and self._below(k, *node)
+            if found:
+                found[2].append((fault, cur_banned))
+                return found
             cur_banned = cur_banned | {eid}
             # Orbit bans (module docstring): once a refuted child's subtree
             # took n // 2 nodes, ban the orbits of every child refuted so
@@ -563,6 +545,35 @@ class _Search:
             cur_banned = grown
         return None
 
+    def _rounds(self, cap: int) -> Optional[tuple[frozenset[int], list[int], list]]:
+        """Rounds k = 0..``cap`` from the root, which is no leaf (``solve``'s
+        precheck): the first set found, as :meth:`_below` returns it, or
+        None. Every round reads the root's pendant bans, the edges of g's
+        degree-1 vertices, and one packing."""
+        stats = self.stats
+        pendant = frozenset(nbrs[0][1] for nbrs in self.g.adj
+                            if len(nbrs) == 1) if self.pendant else frozenset()
+        packing = ([], [], set())
+        for k in range(cap + 1):
+            stats.deepening_rounds += 1
+            stats.nodes += 1
+            if k == 0:
+                stats.budget_prunes += 1
+                continue
+            if not self.root_side:
+                stats.side_prunes += 1
+                return None
+            prunes = stats.budget_prunes + stats.bound_prunes
+            stats.pendant_bans += len(pendant)
+            node = self._pack(frozenset(), pendant, self.mates, k, None, *packing)
+            found = node and self._below(k, *node)
+            # A round that neither the budget nor the k-dependent packing
+            # bound cut refuted the whole tree, and every larger k would
+            # search that same tree again.
+            if found or stats.budget_prunes + stats.bound_prunes == prunes:
+                return found
+        return None
+
     def _edge_orbits(self, fault: frozenset[int],
                      banned: frozenset[int]) -> tuple[frozenset[int], ...]:
         """The edge orbits of the automorphisms of g that fix ``fault`` and
@@ -576,42 +587,42 @@ class _Search:
             orbits = self.orbits[key] = edge_orbits(self.g, generators)
         return orbits
 
-    def _lex_min_witness(self, k: int, known: frozenset[int]) -> frozenset[int]:
+    def _lex_min_witness(self, found: tuple[frozenset[int], list[int], list]
+                         ) -> tuple[frozenset[int], list[int]]:
         """Lexicographically smallest optimal witness (by sorted edge
-        indices), grown one position at a time. A known witness guides the
-        scan so each position tries only smaller indices than the incumbent.
-        With the positions P fixed, candidate e is P's child deleting e and
-        banning every other index below e, so a set found avoids them, the
-        incumbent always starts with P, and the last one is the answer. P is
-        walked down from the root, and needs no side check (module docstring).
-        A candidate whose fault set holds the F of a node on the path to
-        ``known`` also bans that node's B, or is refuted if it meets B."""
-        stats = self.stats
-        start = stats.nodes
-        # Candidates record paths of their own; their bans hold only in
-        # this pass's order, so only the round's path is used.
-        proved = tuple(self.path)
-        witness = known
-        best = sorted(known)
+        indices) and its leaf's matching, grown one position at a time from
+        round k's ``found``, which guides the scan so each position tries
+        only smaller indices than the incumbent. With the positions P fixed,
+        candidate e is P's child deleting e and banning every other index
+        below e, so a set found avoids them, the incumbent always starts with
+        P, and the last one is the answer. A candidate whose fault set holds
+        the F of a node on ``found``'s path also bans that node's B, or is
+        refuted if it meets B."""
+        start = self.stats.nodes
+        witness, leaf, path = found
+        best = sorted(witness)
+        k = len(best)
         prefix, mates = frozenset(), self.mates
         for pos in range(k):
             for e in range(best[pos - 1] + 1 if pos else 0, best[pos]):
                 fault = prefix | {e}
                 banned = frozenset(range(e)) - fault
-                for f_d, b_d in proved:
+                for f_d, b_d in path:
                     if f_d <= fault:
                         if not fault.isdisjoint(b_d):
                             break
                         banned |= b_d
                 else:
-                    found = self._dfs(prefix, banned, mates, k, e)
-                    if found is not None:
-                        witness, best = found, sorted(found)
+                    node = self._step(prefix, banned, mates, k, e, None)
+                    candidate = node and self._below(k, *node)
+                    if candidate:
+                        witness, leaf = candidate[:2]
+                        best = sorted(witness)
                         break
             prefix = prefix | {best[pos]}
             mates = self._mates_after(prefix, mates, best[pos])
-        stats.lexmin_nodes = stats.nodes - start
-        return witness
+        self.stats.lexmin_nodes = self.stats.nodes - start
+        return witness, leaf
 
 
 def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
@@ -627,8 +638,7 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     _check_size_cap(budget, "budget")
-    if kind.name == "ak" and g.n % 2 == 1:
-        raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
+    kind.check_order(g.n)
 
     search = _Search(g, kind)
     stats = search.stats
@@ -636,25 +646,13 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
                                        search.root_side, stats.as_dict())
     if trivial is not None:
         return trivial
-    cap = g.m if budget is None else min(budget, g.m)
-    witness = None
-    for k in range(cap + 1):
-        stats.deepening_rounds += 1
-        cuts = stats.budget_prunes + stats.bound_prunes
-        witness = search._dfs(frozenset(), frozenset(), search.mates, k)
-        # A round that neither the budget nor the k-dependent packing bound
-        # cut refuted the whole tree, and every larger k would search that
-        # same tree again.
-        if witness is not None or stats.budget_prunes + stats.bound_prunes == cuts:
-            break
-    if witness is None:
+    found = search._rounds(g.m if budget is None else min(budget, g.m))
+    if found is None:
         return _none_within(g, kind, budget, stats.as_dict())
-    if deterministic:
-        witness = search._lex_min_witness(len(witness), witness)
+    witness, mates = search._lex_min_witness(found) if deterministic else found[:2]
     edge_set = EdgeSet(g, witness)
-    # The witness's leaf held a maximum matching of g - witness.
     rep = components(g, without=edge_set)
-    evidence = Evidence(search.leaf_nu, rep.min_size, rep.connected)
+    evidence = Evidence((g.n - mates.count(-1)) // 2, rep.min_size, rep.connected)
     return PreclusionCertificate(kind, len(witness), edge_set, evidence, stats=stats.as_dict())
 
 
@@ -697,6 +695,8 @@ def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind],
     is left out. The pending kinds share one ``components`` report."""
     _check_size_cap(max_size, "max_size")
     pending = list(dict.fromkeys(kinds))
+    for kind in pending:
+        kind.check_order(g.n)
     found: dict[ProblemKind, tuple[int, tuple[int, ...]]] = {}
     cap = g.m if max_size is None else min(max_size, g.m)
     for checked, combo in precluding_subsets(g, range(cap + 1)):
@@ -722,8 +722,7 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
     conditions. Witnesses are therefore always the lexicographically
     smallest optimum.
     """
-    if kind.name == "ak" and g.n % 2 == 1:
-        raise PreconditionError("anti-Kekule sets are defined for even-order graphs")
+    kind.check_order(g.n)
     _check_size_cap(max_size, "max_size")
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")

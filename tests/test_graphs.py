@@ -21,6 +21,7 @@ from preclusion import (
     random_graph,
     surviving_edge_ids,
 )
+from preclusion.graphs import MAX_VERTICES
 from conftest import random_corpus, relabel
 
 
@@ -131,6 +132,29 @@ def test_random_bipartite_with_pm():
         random_bipartite_with_pm(0, 0.5, seed=1)
     with pytest.raises(ParameterError):
         random_bipartite_with_pm(2, 1.5, seed=1)
+
+
+def test_random_graph_samples_the_pairs_the_full_pair_list_gave():
+    # random.sample picks the same indices from any sequence of the same
+    # length, so unranking sampled ranks gives the graph that sampling the
+    # listed pairs gave. The population of C(n, 2) pairs is copied into a
+    # pool when it is small against m (6/3, 10/20, 30/400, 40/780) and
+    # sampled into a set of picks otherwise (8/4, 20/20, 40/30).
+    for n, m in ((1, 0), (2, 1), (6, 3), (8, 4), (10, 20), (20, 20), (30, 400),
+                 (40, 30), (40, 780)):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for seed in range(5):
+            expect = sorted(random.Random(seed).sample(pairs, m))
+            assert list(random_graph(n, m, seed=seed).edges) == expect, (n, m, seed)
+
+
+def test_random_generators_check_the_order_before_building():
+    # Listing every pair of this order would take about 3e10 tuples, and
+    # the planted bipartite graph's loop about 1.7e10 steps.
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        random_graph(MAX_VERTICES + 1, 0, seed=0)
+    with pytest.raises(ParameterError, match="exceeds the limit"):
+        random_bipartite_with_pm(MAX_VERTICES // 2 + 1, 0.0, seed=0)
 
 
 def test_delete_edges_identity_and_basic():

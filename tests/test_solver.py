@@ -265,8 +265,16 @@ def test_jobs_do_not_change_value_witness_or_stats():
 
 
 def test_ak_odd_order_precondition():
-    with pytest.raises(PreconditionError):
-        solve(cycle(5), AK)
+    # Every entry point that answers an anti-Kekule question refuses odd
+    # order, the oracle sweep included, also next to other kinds.
+    c5 = cycle(5)
+    calls = (lambda: solve(c5, AK), lambda: brute_force_solve(c5, AK),
+             lambda: is_anti_kekule_set(c5, []), lambda: first_qualifying_subsets(c5, [AK]),
+             lambda: first_qualifying_subsets(c5, [MP, AK]))
+    for call in calls:
+        with pytest.raises(PreconditionError, match="even-order"):
+            call()
+    assert MP in first_qualifying_subsets(c5, [MP])
 
 
 def test_ak_disconnected_is_infinite():
@@ -401,33 +409,41 @@ def test_solve_evidence_matches_evidence_for():
 
 
 def test_deepening_rounds_share_the_root_packing(monkeypatch):
-    # At the root (F = B = {}, no edge removed) the packing does not depend
-    # on k, so each M_(i+1) is grown there once per solve: no two root
-    # maximize calls see the same deleted set.
+    # At the root (F = B = {}) the packing does not depend on k, so each
+    # M_(i+1) is grown only in the first round that reaches it: round k
+    # grows at most M_(k+1), no round after one that grew none grows any,
+    # and no two root maximize calls see the same deleted set.
     from preclusion import random_graph, solver
-    real_dfs, real_maximize = solver._Search._dfs, solver.maximize
-    at_root: list[bool] = []
-    grown: list[frozenset[int]] = []
+    real_pack, real_maximize = solver._Search._pack, solver.maximize
+    at_root = [False]
+    grown: list[list[frozenset[int]]] = []  # per round, the root's deleted sets
 
-    def dfs(self, fault, banned, mates, k, removed=None, warm=None):
-        at_root.append(removed is None)
+    def pack(self, fault, *args):
+        at_root[0] = not fault
+        if at_root[0]:
+            grown.append([])
         try:
-            return real_dfs(self, fault, banned, mates, k, removed, warm)
+            return real_pack(self, fault, *args)
         finally:
-            at_root.pop()
+            at_root[0] = False
 
     def maximize(g, dead, mate, misses_allowed):
-        if at_root[-1]:
-            grown.append(frozenset(dead))
+        if at_root[0]:
+            grown[-1].append(frozenset(dead))
         return real_maximize(g, dead, mate, misses_allowed)
 
-    monkeypatch.setattr(solver._Search, "_dfs", dfs)
+    monkeypatch.setattr(solver._Search, "_pack", pack)
     monkeypatch.setattr(solver, "maximize", maximize)
     for g, kind, rounds in ((hypercube(4), mp_s(1), 7), (random_graph(6, 13, seed=0), MP, 4)):
         grown.clear()
         cert = solve(g, kind)
         assert cert.stats["deepening_rounds"] == rounds
-        assert len(grown) >= 3 and len(set(grown)) == len(grown), (g.edges, kind)
+        # round 0 ends at the root's budget check, before its packing
+        counts = [len(dead_sets) for dead_sets in grown]
+        assert len(counts) == rounds - 1, (g.edges, kind)
+        assert counts == sorted(counts, reverse=True) and set(counts) <= {0, 1}, counts
+        dead_sets = [dead for round_sets in grown for dead in round_sets]
+        assert len(dead_sets) >= 3 and len(set(dead_sets)) == len(dead_sets), (g.edges, kind)
 
 
 def test_deep_alternating_path_has_finite_certificates():
@@ -634,18 +650,18 @@ def test_reuse_changes_only_stats(monkeypatch):
                 runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
     reused = dict(searches)
     searches.update(dict.fromkeys(searches, 0))
-    lex_min, dfs = _Search._lex_min_witness, _Search._dfs
+    lex_min, step = _Search._lex_min_witness, _Search._step
 
-    def without_path_bans(self, k, known):
-        self.path.clear()
-        return lex_min(self, k, known)
+    def without_path_bans(self, found):
+        witness, leaf, _ = found
+        return lex_min(self, (witness, leaf, []))
 
-    def without_warm(self, fault, banned, mates, k, removed=None, warm=None):
+    def without_warm(self, fault, banned, mates, k, removed, warm):
         # no carried packing: every M_2 from M_1, every later M_(i+1) from M_i
-        return dfs(self, fault, banned, mates, k, removed)
+        return step(self, fault, banned, mates, k, removed, None)
 
     monkeypatch.setattr(_Search, "_lex_min_witness", without_path_bans)
-    monkeypatch.setattr(_Search, "_dfs", without_warm)
+    monkeypatch.setattr(_Search, "_step", without_warm)
     reused_nodes = plain_nodes = 0
     for g, kind, deterministic, cert in runs:
         other = solve(g, kind, deterministic=deterministic)

@@ -229,11 +229,12 @@ def test_orbits_of_aut_g_in_place_of_gamma_give_a_wrong_answer(monkeypatch):
         out = []
         for e in range(q4.m):
             search = _Search(q4, kind)
-            found = search._dfs(frozenset(), frozenset(), search.mates, 6, e)
-            if found is not None:
-                assert e in found and len(found) == 6
-                assert is_s_restricted_set(q4, EdgeSet(q4, found), 1)
-            out.append(found is not None)
+            node = search._step(frozenset(), frozenset(), search.mates, 6, e, None)
+            found = node and search._below(6, *node)
+            if found:
+                assert e in found[0] and len(found[0]) == 6
+                assert is_s_restricted_set(q4, EdgeSet(q4, found[0]), 1)
+            out.append(bool(found))
         return out
 
     assert all(found_through_each_edge())
