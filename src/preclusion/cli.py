@@ -337,6 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # The options of the subcommands that run the solver.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--deterministic", action="store_true")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="accepted and validated (>= 1) but has no effect")
 
     p_gen = sub.add_parser("gen", help="generate a named graph family instance")
     p_gen.add_argument("family", choices=FAMILIES)
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=sorted(_FMT), default="edges")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="compute a preclusion certificate")
+    p_solve = sub.add_parser("solve", parents=[run], help="compute a preclusion certificate")
     p_solve.add_argument("input", nargs="?", default="-",
                          help="graph file (JSON, edge list or graph6); '-' for stdin")
     p_solve.add_argument("--mode", choices=["mp", "mps", "ak"], required=True)
@@ -352,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restriction level for --mode mps")
     p_solve.add_argument("--budget", type=int, default=None,
                          help="decision mode: search only up to this cardinality")
-    p_solve.add_argument("--deterministic", action="store_true")
-    p_solve.add_argument("--jobs", type=int, default=1,
-                         help="accepted and validated (>= 1) but has no effect")
     p_solve.set_defaults(func=cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="build the gadget for a bipartite source")
@@ -368,27 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="gadget encoding (default json)")
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[run], help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument("params", nargs="*", type=int)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--slow", action="store_true",
                           help="allow the long-running lemma4 n=4 enumeration")
-    p_verify.add_argument("--deterministic", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1,
-                          help="accepted and validated (>= 1) but has no effect")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time the solver over a hypercube sweep")
+    p_bench = sub.add_parser("bench", parents=[run], help="time the solver over a hypercube sweep")
     p_bench.add_argument("--mode", choices=["mp", "mps", "ak"], default="mp")
     p_bench.add_argument("--s", type=int, default=None)
     p_bench.add_argument("--min-n", type=int, default=None, help="default 2")
     p_bench.add_argument("--max-n", type=int, default=None, help="default 3")
     p_bench.add_argument("--csv", action="store_true")
-    p_bench.add_argument("--deterministic", action="store_true")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="accepted and validated (>= 1) but has no effect")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

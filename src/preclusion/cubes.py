@@ -107,20 +107,14 @@ def check_connected_after(g: Graph, f: EdgeSet) -> bool:
     return AK.side_holds(components(g, without=f))
 
 
+# The 1-restricted rule. On Q_n it fails exactly when F holds every edge at
+# some vertex, which deleting F isolates: the vertex-star test of the lemmas.
+_NO_STAR = mp_s(1)
+
+
 # ---------------------------------------------------------------------------
 # Optimal conditional preclusion sets (exhaustive structure check)
 # ---------------------------------------------------------------------------
-
-def _contains_vertex_star(g: Graph, fault: frozenset[int]) -> bool:
-    """Whether ``fault`` holds every edge at some vertex, i.e. deleting it
-    isolates that vertex."""
-    touched = set()
-    for eid in fault:
-        u, v = g.edges[eid]
-        touched.add(u)
-        touched.add(v)
-    return any(g.incident(v) <= fault for v in touched)
-
 
 def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
     """Enumerate every edge subset of size 2n-2 in the n-cube, filter the
@@ -137,9 +131,9 @@ def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
     conditional = 0
     nontrivial: list[list[int]] = []
     for _, combo in precluding_subsets(g, (size,)):
-        fault = frozenset(combo)
-        if _contains_vertex_star(g, fault):
+        if not _NO_STAR.side_holds(components(g, without=combo)):
             continue
+        fault = frozenset(combo)
         conditional += 1
         if fault not in trivial_sets:
             nontrivial.append(sorted(fault))
@@ -256,20 +250,22 @@ def super_connectivity_report(n: int, samples: Optional[int] = None,
         if fault in pair_cuts:
             counts["incident_pair"] += 1
             continue
-        if _contains_vertex_star(g, fault):
+        rep = components(g, without=fault)
+        if not _NO_STAR.side_holds(rep):
             counts["contains_star"] += 1
             continue
         counts["other"] += 1
-        if not components(g, without=fault).connected:
+        if not rep.connected:
             failures.append(sorted(fault))
 
     cx_graph, cx = star_plus_padding_counterexample(n)
+    cx_rep = components(cx_graph, without=cx)
     counterexample = {
         "edges": [list(cx_graph.edges[eid]) for eid in sorted(cx.members)],
         "size": len(cx),
         "is_incident_pair_cut": frozenset(cx.members) in pair_cuts,
-        "contains_vertex_star": _contains_vertex_star(cx_graph, cx.members),
-        "connected_after": check_connected_after(cx_graph, cx),
+        "contains_vertex_star": not _NO_STAR.side_holds(cx_rep),
+        "connected_after": cx_rep.connected,
     }
     report = {
         "n": n,

@@ -23,7 +23,6 @@ from .solver import (
     AK,
     INFINITY,
     MP,
-    ProblemKind,
     brute_force_solve,
     first_qualifying_subsets,
     is_matching_preclusion_set,
@@ -126,8 +125,9 @@ def backward_extract(r: ReductionInstance, b_prime: Iterable[int], k: int) -> Ed
     dead = edge_ids(r.gadget, b_prime)
     if k < 0:
         raise ParameterError(f"budget must be >= 0, got {k}")
-    if len(dead) > k + 1:
-        raise PreconditionError(f"gadget fault set has {len(dead)} edges, budget allows {k + 1}")
+    if len(dead) > r.k_map(k):
+        raise PreconditionError(
+            f"gadget fault set has {len(dead)} edges, budget allows {r.k_map(k)}")
     # Anti-Kekule sets and s>=1-restricted sets alike leave no perfect
     # matching and no isolated vertex, which is exactly the 1-restricted test.
     if not is_s_restricted_set(r.gadget, dead, 1):
@@ -171,15 +171,23 @@ class EquivalenceCheck:
     """One instance of the reduction equivalence at a given budget k."""
 
     left: bool        # mp(source) <= k
-    right_ak: bool    # ak(gadget) <= k + 1
-    right_mps: bool   # mp_s(gadget) <= k + 1
+    right_ak: bool    # ak(gadget) <= k_map(k)
+    right_mps: bool   # mp_s(gadget) <= k_map(k)
     agree: bool
 
 
-def _gadget_values(r: ReductionInstance, kinds: Sequence[ProblemKind]) -> list[float]:
-    """Exact gadget values in the order of ``kinds``, from one oracle sweep."""
+def _oracle_values(g: Graph, s_values: Sequence[int]
+                   ) -> tuple[ReductionInstance, float, float, list[float]]:
+    """The gadget of ``g``, mp(g), ak(gadget) and mp_s(gadget) for each s in
+    ``s_values``, all exact, from the brute-force oracle (one sweep over the
+    gadget)."""
+    r = build_reduction(g)
+    mp_value = brute_force_solve(g, MP, limit=g.m).value
+    kinds = [AK] + [mp_s(s) for s in s_values]
     found = first_qualifying_subsets(r.gadget, kinds)
-    return [len(found[kind][1]) if kind in found else INFINITY for kind in kinds]
+    ak_value, *mps_values = (len(found[kind][1]) if kind in found else INFINITY
+                             for kind in kinds)
+    return r, mp_value, ak_value, mps_values
 
 
 def verify_equivalence(g: Graph, k: int, s: int = 1) -> EquivalenceCheck:
@@ -189,12 +197,10 @@ def verify_equivalence(g: Graph, k: int, s: int = 1) -> EquivalenceCheck:
         raise ParameterError(f"budget must be >= 0, got {k}")
     if s < 1:
         raise ParameterError(f"restriction level must be >= 1, got {s}")
-    r = build_reduction(g)
-    mp_value = brute_force_solve(g, MP, limit=g.m).value
-    ak_value, mps_value = _gadget_values(r, [AK, mp_s(s)])
+    r, mp_value, ak_value, (mps_value,) = _oracle_values(g, [s])
     left = mp_value <= k
-    right_ak = ak_value <= k + 1
-    right_mps = mps_value <= k + 1
+    right_ak = ak_value <= r.k_map(k)
+    right_mps = mps_value <= r.k_map(k)
     return EquivalenceCheck(left, right_ak, right_mps,
                             agree=(left == right_ak == right_mps))
 
@@ -220,15 +226,13 @@ def fuzz_equivalence(seed: int = 0, count: int = 200, s_values: Sequence[int] = 
         t = rng.randint(1, t_max)
         prob = rng.choice((0.0, 0.15, 0.3, 0.5))
         g = random_bipartite_with_pm(t, prob, seed=rng.randrange(2**32))
-        r = build_reduction(g)
-        mp_value = brute_force_solve(g, MP, limit=g.m).value
-        ak_value, *mps_values = _gadget_values(r, [AK] + [mp_s(s) for s in s_values])
+        r, mp_value, ak_value, mps_values = _oracle_values(g, s_values)
         for k in range(g.m + 1):
             left = mp_value <= k
-            right_ak = ak_value <= k + 1
+            right_ak = ak_value <= r.k_map(k)
             for s, mps_value in zip(s_values, mps_values):
                 checks += 1
-                right_mps = mps_value <= k + 1
+                right_mps = mps_value <= r.k_map(k)
                 if not (left == right_ak == right_mps):
                     disagreements.append({
                         "index": index,

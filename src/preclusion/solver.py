@@ -80,14 +80,11 @@ when that is discrete. Two fixed rules keep the cost where the search has
 already spent as much: a node computes orbits only after a refuted child's
 subtree took at least n // 2 nodes (the size of a perfect matching), and
 orbits are cached per (F, B) for the solve. Pendant bans (below) shrink
-refuted subtrees, so a gate of m nodes starved the bans: with it the
-``hypercube`` benchmark's seed-1 instances took 11,519 nodes against 7,342
-with neither rule, and Q4 mp_1 banned 31 edges by orbit instead of 71. A
-gate of n nodes left too few runs banning at all; at n // 2 every benchmark
-instance checked (``hypercube`` seeds 1-6, ``random`` seeds 1-3) takes no
-more nodes than with neither rule, and seed 1's total is 4,381.
-``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
-themselves, and ``stats["automorphisms"]`` the checked generators found.
+refuted subtrees, so a gate of m nodes starves the orbit bans, and the
+search then takes more nodes than with neither rule; a gate of n nodes
+leaves too few runs banning at all. ``stats["orbit_bans"]`` counts the
+edges banned beyond the refuted children themselves, and
+``stats["automorphisms"]`` the checked generators found.
 
 Pendant bans. Under a component floor of 2 or more (``mp_s(s)`` with
 s >= 1, and ``ak``) no qualifying set through F deletes the last live edge
@@ -101,10 +98,8 @@ it, so the lex-min pass may ban it or refute a candidate holding it. It
 also strengthens the packing bound. Such an edge lies in every perfect
 matching of g - F; in U_1 it left g - F - U_1 with an isolated vertex, and
 on even order the packing at one matching, while banned it stays in every
-M_i. With both rules, Q5 mp_1 at budget 7 takes 975 nodes instead of
-2,267, its budget prunes fall from 458 to 1 and its side prunes from 90 to
-0. ``stats["pendant_bans"]`` counts the edges banned so, node by node, like
-``orbit_bans``.
+M_i. ``stats["pendant_bans"]`` counts the edges banned so, node by node,
+like ``orbit_bans``.
 
 The lex-min pass reuses the refutations of round k*, the round that found
 the first set. Let node d on the path to that set hold F_d, and B_d, the
@@ -272,30 +267,31 @@ class PreclusionCertificate:
 # Predicates
 # ---------------------------------------------------------------------------
 
+def _qualifies(g: Graph, f: Iterable[int], kind: ProblemKind) -> bool:
+    """Whether g - f meets ``kind``'s side rule and has neither a perfect nor
+    an almost perfect matching, i.e. nu(g - f) <= floor(n/2) - 1."""
+    kind.check_order(g.n)
+    dead = edge_ids(g, f)
+    if kind.has_side_condition and not kind.side_holds(components(g, without=dead)):
+        return False
+    return matching_number_excluding(g, dead) <= g.n // 2 - 1
+
+
 def is_matching_preclusion_set(g: Graph, f: Iterable[int]) -> bool:
-    """True when g - f has neither a perfect nor an almost perfect matching,
-    i.e. nu(g - f) <= floor(n/2) - 1."""
-    return matching_number_excluding(g, f) <= g.n // 2 - 1
+    """True when g - f has neither a perfect nor an almost perfect matching."""
+    return _qualifies(g, f, MP)
 
 
 def is_s_restricted_set(g: Graph, f: Iterable[int], s: int) -> bool:
     """Matching preclusion with the extra demand that every component of
     g - f keeps at least s + 1 vertices."""
-    kind = mp_s(s)
-    dead = edge_ids(g, f)
-    if matching_number_excluding(g, dead) > g.n // 2 - 1:
-        return False
-    return kind.side_holds(components(g, without=dead))
+    return _qualifies(g, f, mp_s(s))
 
 
 def is_anti_kekule_set(g: Graph, f: Iterable[int]) -> bool:
     """True when g - f stays connected but loses every perfect matching.
     Only defined on even order (Kekule structures are perfect matchings)."""
-    dead = edge_ids(g, f)
-    AK.check_order(g.n)
-    if not AK.side_holds(components(g, without=dead)):
-        return False
-    return matching_number_excluding(g, dead) <= g.n // 2 - 1
+    return _qualifies(g, f, AK)
 
 
 def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
@@ -366,7 +362,6 @@ class _Search:
         self.g = g
         self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
-        self.threshold = g.n // 2 - 1
         # Pendant bans (module docstring) need a floor of 2.
         self.pendant = self.floor >= 2
         # The orbit gate, in nodes: the size of a perfect matching.
@@ -429,7 +424,8 @@ class _Search:
             return None
         fault = fault | {removed}
         mates = self._mates_after(fault, mates, removed)
-        leaf = (len(mates) - mates.count(-1)) // 2 <= self.threshold
+        # A leaf has nu <= floor(n/2) - 1: more free vertices than n % 2.
+        leaf = mates.count(-1) > self.g.n % 2
         if not leaf and len(fault) >= k:
             stats.budget_prunes += 1
             return None
@@ -465,13 +461,13 @@ class _Search:
         lists for every round), with ``cuts`` the parts U_1, U_2, ... listed
         so far and ``dead`` F plus the cuts, until more than ``room`` refute
         the node (None) or one fails: then the outcome. Each M_(i+1) starts
-        from ``warm``'s less U_1..U_i while ``warm`` lasts (with none, M_2
-        from M_1), and from M_i less U_i after that."""
+        from ``warm``'s less U_1..U_i while ``warm`` lasts, and from M_i
+        less U_i after that."""
         g = self.g
         edges = g.edges
         edge_to = g.edge_to
         odd = g.n % 2
-        carried = (mates,) if warm is None else warm
+        carried = warm or ()
         packing = packings[-1] if packings else mates
         grew = not packings or packing.count(-1) <= odd
         while grew:

@@ -64,16 +64,7 @@ def _weighted_adjacency(g: Graph, bits: list[int]) -> list[tuple[tuple[int, int]
 def _refine(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int]) -> list:
     """Refine the partition ``cells`` (``cell_of`` its inverse) in place
     from the splitter cells in ``queue`` until it is equitable or discrete,
-    and return the split trace (:func:`_split`)."""
-    trace: list = []
-    _split(nbrs, cells, cell_of, queue, trace)
-    return trace
-
-
-def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
-           trace: Optional[list]) -> None:
-    """The refinement of :func:`_refine`, appending its split trace to
-    ``trace`` unless that is None.
+    and return its split trace.
 
     A splitter gives each vertex the sum of the weights of its edges into
     the splitter. Each cell it touches, by number, splits by that sum: the
@@ -81,6 +72,7 @@ def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
     new cells in sum order. If the cell was queued, every new piece is
     queued; otherwise every piece but the first largest (Hopcroft). The
     trace records each touched cell's sums and piece sizes."""
+    trace: list = []
     n = len(cell_of)
     queued = set(queue)
     for s in queue:
@@ -94,8 +86,7 @@ def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
         for c in sorted({cell_of[w] for w in count}):
             cell = cells[c]
             if len(cell) == 1:
-                if trace is not None:
-                    trace.append((c, count[cell[0]]))
+                trace.append((c, count[cell[0]]))
                 continue
             first = count.get(cell[0], 0)
             for u in cell:
@@ -103,15 +94,13 @@ def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
                     break
             else:
                 # One sum: no split.
-                if trace is not None:
-                    trace.append((c, ((first, len(cell)),)))
+                trace.append((c, ((first, len(cell)),)))
                 continue
             by_key: dict[int, list[int]] = {}
             for u in cell:
                 by_key.setdefault(count.get(u, 0), []).append(u)
             keys = sorted(by_key)
-            if trace is not None:
-                trace.append((c, tuple((k, len(by_key[k])) for k in keys)))
+            trace.append((c, tuple((k, len(by_key[k])) for k in keys)))
             numbers = [c]
             cells[c] = by_key[keys[0]]
             for k in keys[1:]:
@@ -126,6 +115,7 @@ def _split(nbrs, cells: list[list[int]], cell_of: list[int], queue: list[int],
                 del numbers[sizes.index(max(sizes))]
             queue.extend(numbers)
             queued.update(numbers)
+    return trace
 
 
 Partition = tuple[list[list[int]], list[int]]
@@ -191,7 +181,7 @@ class _Tree:
         self.partitions: list[Partition] = []    # partition at each level
         self.traces: list[list] = []             # trace one level further down
         partition = ([list(range(g.n))], [0] * g.n)
-        _split(self.nbrs, *partition, [0], None)  # no other tree to compare with
+        _refine(self.nbrs, *partition, [0])  # no other tree to compare its trace with
         while len(partition[0]) < g.n:
             cell = _target_cell(partition[0])
             self.cells.append(cell)
@@ -249,33 +239,26 @@ def automorphisms(g: Graph, fixed: Sequence[Iterable[int]] = ()) -> list[Permuta
 
 def edge_orbits(g: Graph, generators: Iterable[Sequence[int]]) -> tuple[frozenset[int], ...]:
     """``orbits[e]``: the edges that the group generated by ``generators``
-    (vertex maps, assumed to be automorphisms) maps edge e to. Each
-    generator becomes a map of edge indices, and an orbit is the closure of
-    one of its edges under those maps; a generator that maps a vertex out of
-    range or an edge to a non-edge raises ``ParameterError``."""
+    (vertex maps, assumed to be automorphisms) maps edge e to, found by
+    merging each edge with its image under each generator. A generator that
+    is not a map of the n vertices into their range, or maps an edge to a
+    non-edge, raises ``ParameterError``."""
     edge_to = g.edge_to
-    maps = []
+    parent = list(range(g.m))  # edge orbits of the generators read so far
     for perm in generators:
+        if len(perm) != g.n:
+            raise ParameterError(f"vertex map {tuple(perm)} has {len(perm)} entries, not {g.n}")
         if any(x < 0 or x >= g.n for x in perm):
             raise ParameterError(f"vertex map {tuple(perm)} leaves the range 0..{g.n - 1}")
-        emap = [edge_to[perm[u]].get(perm[v]) for u, v in g.edges]
-        if None in emap:
-            u, v = g.edges[emap.index(None)]
-            g.edge_id(perm[u], perm[v])  # raises ParameterError: not an edge
-        maps.append(emap)
-    orbits: list[Optional[frozenset[int]]] = [None] * g.m
-    for eid in range(g.m):
-        if orbits[eid] is not None:
-            continue
-        members = [eid]
-        seen = {eid}
-        for x in members:
-            for emap in maps:
-                y = emap[x]
-                if y not in seen:
-                    seen.add(y)
-                    members.append(y)
-        orbit = frozenset(members)
-        for x in members:
-            orbits[x] = orbit
-    return tuple(orbits)
+        for eid, (u, v) in enumerate(g.edges):
+            image = edge_to[perm[u]].get(perm[v])
+            if image is None:
+                g.edge_id(perm[u], perm[v])  # raises ParameterError: not an edge
+            if parent[eid] != parent[image]:  # one parent: already one orbit
+                _merge(parent, eid, image)
+    roots = [_root(parent, eid) for eid in range(g.m)]
+    orbits: dict[int, list[int]] = {}
+    for eid, root in enumerate(roots):
+        orbits.setdefault(root, []).append(eid)
+    members = {root: frozenset(orbit) for root, orbit in orbits.items()}
+    return tuple(members[root] for root in roots)

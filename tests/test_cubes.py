@@ -186,6 +186,7 @@ def test_super_connectivity_q4_sampled_passes():
     assert report["mode"] == "sampled"
     assert report["passed"]
     assert report["counts"]["other"] > 0
+    assert report["counts"] == {"incident_pair": 1, "contains_star": 136, "other": 19863}
 
 
 def test_super_connectivity_rejects_an_empty_sample():

@@ -159,27 +159,29 @@ def test_groups_fixing_edge_sets_are_complete():
                 assert edge_orbits(h, generators) == edge_orbits(h, stabiliser)
 
 
-def _union_find_orbits(g, generators):
-    """The edge orbits by merging each edge with its image under each
-    generator, the reference for :func:`edge_orbits`."""
-    parent = list(range(g.m))
-
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for perm in generators:
-        for eid, (u, v) in enumerate(g.edges):
-            a, b = root(eid), root(g.edge_id(perm[u], perm[v]))
-            parent[max(a, b)] = min(a, b)
-    classes = {}
+def _closure_orbits(g, generators):
+    """The edge orbits as the closure of each edge under the generators'
+    edge maps, the reference for :func:`edge_orbits`."""
+    maps = [[g.edge_id(perm[u], perm[v]) for u, v in g.edges] for perm in generators]
+    orbits = [None] * g.m
     for eid in range(g.m):
-        classes.setdefault(root(eid), set()).add(eid)
-    return tuple(frozenset(classes[root(eid)]) for eid in range(g.m))
+        if orbits[eid] is not None:
+            continue
+        members = [eid]
+        seen = {eid}
+        for x in members:
+            for emap in maps:
+                y = emap[x]
+                if y not in seen:
+                    seen.add(y)
+                    members.append(y)
+        orbit = frozenset(members)
+        for x in members:
+            orbits[x] = orbit
+    return tuple(orbits)
 
 
-def test_edge_orbits_match_a_union_find_reference():
+def test_edge_orbits_match_a_closure_reference():
     rng = random.Random(508)
     for g, _ in GROUPS:
         for h in (g, relabel(g, rng), relabel(g, rng)):
@@ -187,7 +189,7 @@ def test_edge_orbits_match_a_union_find_reference():
             subsets = [generators, []] + [rng.sample(generators, rng.randint(1, len(generators)))
                                           for _ in range(4) if generators]
             for gens in subsets:
-                assert edge_orbits(h, gens) == _union_find_orbits(h, gens), (h.edges, gens)
+                assert edge_orbits(h, gens) == _closure_orbits(h, gens), (h.edges, gens)
 
 
 def test_edge_orbits_reject_a_map_that_is_no_automorphism():
@@ -196,6 +198,10 @@ def test_edge_orbits_reject_a_map_that_is_no_automorphism():
     # read as list indices, -1 - v would be the automorphism v -> 7 - v
     with pytest.raises(ParameterError, match="leaves the range"):
         edge_orbits(hypercube(3), [tuple(-1 - v for v in range(8))])
+    # a short map would index past its end; a long one is no vertex map either
+    for perm in ((0, 1), (0, 1, 2, 3, 0)):
+        with pytest.raises(ParameterError, match="entries, not 4"):
+            edge_orbits(cycle(4), [perm])
 
 
 def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
