@@ -17,17 +17,24 @@ deletion step from its parent, and returns its outcome: None when pruned,
 else its F, B, M, children (none at a leaf) and their warm start. It
 re-matches (deleting ab keeps M maximum unless M uses ab; then one Edmonds
 search from a, then from b, restores it), then applies the room-0 shortcut,
-the budget, the side rule (only ab can split a component, so a search from
-a, then from b, capped at the floor or stopped on meeting the other
-endpoint, decides it), the leaf test, pendant bans and the packing bound.
-The driver owns the root, the children loop with its sibling and orbit
-bans, the deepening rounds and the lex-min pass. The root's matching and
-side status also answer the INFINITY precheck; its pendant bans and packing
-do not depend on k, so every round reads them, and each packed matching is
-grown in the first round that reaches it. A set W found comes back with its
-leaf's matching, a maximum one of g - W, for the evidence's nu, and with its
-(F, B) path, for the lex-min pass, whose candidates are children of their
-fixed prefix: a subset of a qualifying set, it needs no side check.
+the budget, the side rule, the leaf test, pendant bans and the packing
+bound. The side rule held at the parent, and only ab can split a component.
+When M used ab and the re-matching matched both a and b again, one
+alternating path joined them in g - F: a freed vertex is matched again only
+as the end of an augmenting path, a path from a to the third free vertex of
+odd order leaves b free, and a failed search from a leaves a free. Then ab
+is no bridge, the components are the parent's and the rule holds; on even
+order that is every child but the leaves, since children delete edges of M.
+Elsewhere a search from a, then from b, capped at the floor or stopped on
+meeting the other endpoint, decides it. The driver owns the root, the
+children loop with its sibling and orbit bans, the deepening rounds and the
+lex-min pass. The root's matching and side status also answer the INFINITY
+precheck; its pendant bans and packing do not depend on k, so every round
+reads them, and each packed matching is grown in the first round that
+reaches it. A set W found comes back with its leaf's matching, a maximum
+one of g - W, for the evidence's nu, and with its (F, B) path, for the
+lex-min pass, whose candidates are children of their fixed prefix: a subset
+of a qualifying set, it meets the side rule unchecked.
 
 Every fault set below a node (fault set F, banned set B, room r = k - |F|)
 is F + S with S avoiding B and |S| <= r. A greedy packing bound refutes
@@ -75,16 +82,18 @@ ban repeats a refutation of this round, so a round that no budget or bound
 cut shaped makes bans that hold at every k, and the deepening stop rule
 stays exact. The first qualifying set in DFS order contains no banned edge,
 so the search still returns it. ``symmetry.automorphisms`` finds the
-generators of Gamma and checks each one, and returns after one refinement
-when that is discrete. Two fixed rules keep the cost where the search has
-already spent as much: a node computes orbits only after a refuted child's
-subtree took at least n // 2 nodes (the size of a perfect matching), and
-orbits are cached per (F, B) for the solve. Pendant bans (below) shrink
-refuted subtrees, so a gate of m nodes starves the orbit bans, and the
-search then takes more nodes than with neither rule; a gate of n nodes
-leaves too few runs banning at all. ``stats["orbit_bans"]`` counts the
-edges banned beyond the refuted children themselves, and
-``stats["automorphisms"]`` the checked generators found.
+generators of Gamma and checks each one. Gamma <= Aut(g), so on a graph
+whose plain refinement is discrete (``symmetry.refines_to_discrete``, asked
+once per solve, at its first orbit lookup) every Gamma is trivial and the
+lookups return singleton orbits without that search. Two fixed rules keep
+the cost where the search has already spent as much: a node computes orbits
+only after a refuted child's subtree took at least n // 2 nodes (the size
+of a perfect matching), and orbits are cached per (F, B) for the solve.
+Pendant bans (below) shrink refuted subtrees, so a gate of m nodes starves
+the orbit bans, and the search then takes more nodes than with neither
+rule; a gate of n nodes leaves too few runs banning at all.
+``stats["orbit_bans"]`` counts the edges banned beyond the refuted children
+themselves, and ``stats["automorphisms"]`` the checked generators found.
 
 Pendant bans. Under a component floor of 2 or more (``mp_s(s)`` with
 s >= 1, and ``ak``) no qualifying set through F deletes the last live edge
@@ -370,6 +379,8 @@ class _Search:
         self.root_side = not self.has_side or kind.side_holds(components(g))
         self.stats = _Stats()
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
+        # Whether g refines to discrete, asked at the first orbit request.
+        self.rigid: Optional[bool] = None
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and stays so (shared, never
@@ -391,7 +402,9 @@ class _Search:
     def _side_holds(self, dead: frozenset[int], removed: int) -> bool:
         """Whether g - dead meets the component floor, given that g - dead + ab
         did for ab the edge ``removed``: a search from a, then from b, that
-        meets the other endpoint or collects ``floor`` vertices settles it."""
+        meets the other endpoint or collects ``floor`` vertices settles it.
+        The node step asks only where its re-matching did not already join
+        a and b."""
         adj = self.g.adj
         floor = self.floor
         ends = self.g.edges[removed]
@@ -423,17 +436,20 @@ class _Search:
             stats.budget_prunes += 1
             return None
         fault = fault | {removed}
-        mates = self._mates_after(fault, mates, removed)
+        rematched = self._mates_after(fault, mates, removed)
         # A leaf has nu <= floor(n/2) - 1: more free vertices than n % 2.
-        leaf = mates.count(-1) > self.g.n % 2
+        leaf = rematched.count(-1) > self.g.n % 2
         if not leaf and len(fault) >= k:
             stats.budget_prunes += 1
             return None
-        if self.has_side and not self._side_holds(fault, removed):
+        # A re-matching that matched both a and b again ran one alternating
+        # path from a to b in g - F, so ab is no bridge (module docstring).
+        joined = rematched is not mates and -1 not in (rematched[a], rematched[b])
+        if self.has_side and not joined and not self._side_holds(fault, removed):
             stats.side_prunes += 1
             return None
         if leaf:
-            return fault, banned, mates, None, None
+            return fault, banned, rematched, None, None
         # Pendant bans (module docstring): only the ends of the edge just
         # deleted can have one live edge left.
         if self.pendant:
@@ -451,7 +467,7 @@ class _Search:
             if pendant:
                 stats.pendant_bans += len(pendant)
                 banned = banned | pendant
-        return self._pack(fault, banned, mates, k - len(fault), warm, [], [], set(fault))
+        return self._pack(fault, banned, rematched, k - len(fault), warm, [], [], set(fault))
 
     def _pack(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], room: int,
               warm: Optional[tuple[list[int], ...]], packings: list[list[int]],
@@ -577,10 +593,17 @@ class _Search:
         key = (fault, banned)
         orbits = self.orbits.get(key)
         if orbits is None:
-            from .symmetry import automorphisms, edge_orbits
-            generators = automorphisms(self.g, key)
-            self.stats.automorphisms += len(generators)
-            orbits = self.orbits[key] = edge_orbits(self.g, generators)
+            from .symmetry import automorphisms, edge_orbits, refines_to_discrete
+            if self.rigid is None:
+                self.rigid = refines_to_discrete(self.g)
+            if self.rigid:
+                # Aut(g) is the identity, and so is every Gamma <= Aut(g).
+                orbits = tuple(frozenset((eid,)) for eid in range(self.g.m))
+            else:
+                generators = automorphisms(self.g, key)
+                self.stats.automorphisms += len(generators)
+                orbits = edge_orbits(self.g, generators)
+            self.orbits[key] = orbits
         return orbits
 
     def _lex_min_witness(self, found: tuple[frozenset[int], list[int], list]

@@ -37,6 +37,7 @@ from .graphs import Graph, edge_ids
 __all__ = [
     "is_automorphism",
     "automorphisms",
+    "refines_to_discrete",
     "edge_orbits",
 ]
 
@@ -237,12 +238,25 @@ def automorphisms(g: Graph, fixed: Sequence[Iterable[int]] = ()) -> list[Permuta
     return _Tree(g, _edge_bits(g, fixed)).generators()
 
 
+def refines_to_discrete(g: Graph) -> bool:
+    """Whether refining g's unit partition, with no fixed sets, ends with
+    every vertex in a cell of its own. The partition is an invariant of g,
+    so then the identity is g's only automorphism, and :func:`automorphisms`
+    returns no generator for any fixed sets."""
+    if len({len(nbrs) for nbrs in g.adj}) <= 1:
+        # A regular graph's unit partition is already equitable.
+        return g.n <= 1
+    cells, cell_of = [list(range(g.n))], [0] * g.n
+    _refine(_weighted_adjacency(g, [0] * g.m), cells, cell_of, [0])
+    return len(cells) == g.n
+
+
 def edge_orbits(g: Graph, generators: Iterable[Sequence[int]]) -> tuple[frozenset[int], ...]:
     """``orbits[e]``: the edges that the group generated by ``generators``
     (vertex maps, assumed to be automorphisms) maps edge e to, found by
     merging each edge with its image under each generator. A generator that
-    is not a map of the n vertices into their range, or maps an edge to a
-    non-edge, raises ``ParameterError``."""
+    is not a permutation of the n vertices, or maps an edge to a non-edge,
+    raises ``ParameterError``."""
     edge_to = g.edge_to
     parent = list(range(g.m))  # edge orbits of the generators read so far
     for perm in generators:
@@ -250,6 +264,8 @@ def edge_orbits(g: Graph, generators: Iterable[Sequence[int]]) -> tuple[frozense
             raise ParameterError(f"vertex map {tuple(perm)} has {len(perm)} entries, not {g.n}")
         if any(x < 0 or x >= g.n for x in perm):
             raise ParameterError(f"vertex map {tuple(perm)} leaves the range 0..{g.n - 1}")
+        if len(set(perm)) != g.n:
+            raise ParameterError(f"vertex map {tuple(perm)} is not a permutation")
         for eid, (u, v) in enumerate(g.edges):
             image = edge_to[perm[u]].get(perm[v])
             if image is None:

@@ -745,6 +745,71 @@ def test_local_side_check_matches_components():
     assert min(outcomes.values()) >= 500
 
 
+def test_rematching_both_ends_keeps_the_side_rule():
+    # Deleting a matched edge ab frees a and b; when the re-matching matches
+    # both again, one alternating path joined them in g - F - ab, so ab was
+    # no bridge and the side rule still holds. The node step skips its check
+    # there, on odd order as on even.
+    import random as _random
+    from preclusion import components, random_graph
+    from preclusion.matching import maximum_matching_mates
+    from preclusion.solver import _Search
+    rng = _random.Random(419)
+    joined = {0: 0, 1: 0}
+    for _ in range(200):
+        n = rng.choice((4, 5, 6, 7, 8, 9, 10, 11, 12))
+        g = random_graph(n, rng.randint(n - 1, min(24, n * (n - 1) // 2)),
+                         seed=rng.randrange(2**32))
+        search = _Search(g, MP)  # its re-matching reads only g
+        for kind in (mp_s(1), mp_s(2), mp_s(3), AK):
+            if kind == AK and n % 2:
+                continue
+            for _ in range(4):
+                fault = frozenset(rng.sample(range(g.m), rng.randint(0, g.m // 2)))
+                if not kind.side_holds(components(g, without=fault)):
+                    continue
+                mates = maximum_matching_mates(g, fault)
+                for removed in set(range(g.m)) - fault:
+                    a, b = g.edges[removed]
+                    if mates[a] != b:
+                        continue
+                    dead = fault | {removed}
+                    after = search._mates_after(dead, mates, removed)
+                    if -1 not in (after[a], after[b]):
+                        assert kind.side_holds(components(g, without=dead)), (g.edges, kind)
+                        joined[n % 2] += 1
+    assert min(joined.values()) >= 300
+
+
+def test_odd_order_restricted_solves_match_the_oracle():
+    # On odd order a re-matching may end at the third free vertex and leave
+    # a or b free; the side rule must still be checked there. The pinned
+    # graph is one that skipping that check at every inner node gets wrong
+    # (it answered 2, with witness [1, 6]).
+    import random as _random
+    from preclusion import random_graph
+    pinned = Graph(7, [(0, 2), (0, 6), (1, 3), (2, 4), (2, 6), (3, 5), (5, 6)])
+    cert = solve(pinned, mp_s(3), deterministic=True)
+    assert cert.value == INFINITY
+    assert cert.reason == "no 3-restricted matching preclusion set exists"
+    rng = _random.Random(420)
+    graphs = [pinned]
+    while len(graphs) < 150:
+        n = rng.choice((5, 7, 9))
+        graphs.append(random_graph(n, rng.randint(n - 1, min(16, n * (n - 1) // 2)),
+                                   seed=rng.randrange(2**32)))
+    feasible = 0
+    for g in graphs:
+        for kind in (mp_s(1), mp_s(2), mp_s(3)):
+            oracle = brute_force_solve(g, kind)
+            cert = solve(g, kind, deterministic=True)
+            assert (cert.value, cert.reason) == (oracle.value, oracle.reason), (g.edges, kind)
+            if oracle.feasible:
+                assert cert.witness == oracle.witness, (g.edges, kind)
+                feasible += 1
+    assert feasible >= 100
+
+
 def test_packing_bound_proves_mp_of_q6():
     # The greedy packing finds more disjoint perfect matchings of Q6 than
     # any budget below 6 allows, so rounds 1 to 5 end at the root.

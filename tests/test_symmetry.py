@@ -18,12 +18,13 @@ from preclusion import (
     mp_s,
     petersen,
     random_bipartite_with_pm,
+    random_graph,
     solve,
     with_bipartition,
 )
 from preclusion import symmetry
 from preclusion.reduction import build_reduction
-from preclusion.symmetry import automorphisms, edge_orbits, is_automorphism
+from preclusion.symmetry import automorphisms, edge_orbits, is_automorphism, refines_to_discrete
 from conftest import relabel
 
 
@@ -202,6 +203,69 @@ def test_edge_orbits_reject_a_map_that_is_no_automorphism():
     for perm in ((0, 1), (0, 1, 2, 3, 0)):
         with pytest.raises(ParameterError, match="entries, not 4"):
             edge_orbits(cycle(4), [perm])
+    # it folds C_4 onto one edge, mapping every edge onto an edge
+    with pytest.raises(ParameterError, match="is not a permutation"):
+        edge_orbits(cycle(4), [(0, 1, 0, 1)])
+
+
+def test_a_discrete_refinement_means_a_trivial_group():
+    # The refined partition is an invariant of g, so a discrete one leaves
+    # only the identity; Frucht's rigid cubic graph shows the converse fails.
+    rng = random.Random(509)
+    graphs = [g for g, _ in GROUPS]
+    graphs += [random_graph(n, rng.randint(n, 2 * n), seed=rng.randrange(2**32))
+               for n in (5, 6, 7, 8, 10, 12) for _ in range(30)]
+    discrete = 0
+    for g in graphs:
+        if refines_to_discrete(g):
+            assert automorphisms(g) == [], g.edges
+            discrete += 1
+    assert not refines_to_discrete(frucht())
+    assert refines_to_discrete(Graph(1, [])) and not refines_to_discrete(Graph(2, []))
+    assert 50 <= discrete < len(graphs) - 50
+
+
+def test_rigid_graphs_skip_the_automorphism_search(monkeypatch):
+    # On a graph that refines to discrete every Gamma is trivial, so the
+    # search answers its orbit lookups without automorphisms or edge_orbits,
+    # and returns what the full lookups return, stats included.
+    rng = random.Random(510)
+    graphs = []
+    while len(graphs) < 12:
+        g = random_graph(rng.choice((10, 12)), rng.randint(22, 28), seed=rng.randrange(2**32))
+        if refines_to_discrete(g):
+            graphs.append(g)
+    runs = [(g, kind, deterministic) for g in graphs for kind in (MP, mp_s(1), mp_s(2), AK)
+            for deterministic in (False, True)]
+    calls = []
+    find = symmetry.automorphisms
+
+    def counted(g, fixed=()):
+        calls.append(g)
+        return find(g, fixed)
+
+    monkeypatch.setattr(symmetry, "automorphisms", counted)
+    monkeypatch.setattr(symmetry, "refines_to_discrete", lambda g: False)
+    full = [solve(g, kind, deterministic=d) for g, kind, d in runs]
+    assert len(calls) >= len(graphs) and all(c.stats["automorphisms"] == 0 for c in full)
+
+    def forbidden(*args):
+        raise AssertionError("an orbit lookup on a rigid graph searched for automorphisms")
+
+    monkeypatch.setattr(symmetry, "automorphisms", forbidden)
+    monkeypatch.setattr(symmetry, "edge_orbits", forbidden)
+    monkeypatch.setattr(symmetry, "refines_to_discrete", refines_to_discrete)
+    assert [solve(g, kind, deterministic=d) for g, kind, d in runs] == full
+    # Frucht's rigid cubic graph does not refine to discrete: its orbit
+    # lookup still searches, and finds no generator.
+    from preclusion.solver import _Search
+    monkeypatch.setattr(symmetry, "automorphisms", counted)
+    monkeypatch.setattr(symmetry, "edge_orbits", edge_orbits)
+    calls.clear()
+    lookup = _Search(frucht(), mp_s(1))
+    orbits = lookup._edge_orbits(frozenset({0}), frozenset({5}))
+    assert len(calls) == 1 and lookup.stats.automorphisms == 0
+    assert orbits == tuple(frozenset({eid}) for eid in range(frucht().m))
 
 
 def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
