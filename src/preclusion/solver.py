@@ -379,8 +379,10 @@ class _Search:
         self.root_side = not self.has_side or kind.side_holds(components(g))
         self.stats = _Stats()
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
-        # Whether g refines to discrete, asked at the first orbit request.
+        # Whether g refines to discrete, asked at the first orbit request,
+        # and then the singleton orbits that every lookup shares.
         self.rigid: Optional[bool] = None
+        self.singletons: tuple[frozenset[int], ...] = ()
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and stays so (shared, never
@@ -596,9 +598,11 @@ class _Search:
             from .symmetry import automorphisms, edge_orbits, refines_to_discrete
             if self.rigid is None:
                 self.rigid = refines_to_discrete(self.g)
+                if self.rigid:
+                    self.singletons = tuple(frozenset((eid,)) for eid in range(self.g.m))
             if self.rigid:
                 # Aut(g) is the identity, and so is every Gamma <= Aut(g).
-                orbits = tuple(frozenset((eid,)) for eid in range(self.g.m))
+                orbits = self.singletons
             else:
                 generators = automorphisms(self.g, key)
                 self.stats.automorphisms += len(generators)

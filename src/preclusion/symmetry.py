@@ -22,6 +22,22 @@ yet in the first vertex's orbit gets a search of its subtree, pruned by
 comparing traces with the first path's, for a leaf whose map from the first
 leaf is an automorphism. This finds generators of the whole group.
 
+Twins, two non-adjacent vertices with the same neighbours over edges of the
+same bits, cannot be told apart by refinement, so the search would
+individualize them one at a time. Twins have equal weighted adjacency (it
+is sorted by neighbour), so one set of it finds them, and a graph without
+twins, the common case, takes the plain search unchanged. Otherwise each
+twin class of c vertices gives its c - 1 adjacent transpositions, which are
+automorphisms, and the search runs on the quotient, one vertex per class,
+coloured by class size. A quotient leaf map counts when its lift,
+each class mapped member to member onto its image, passes the full test on
+g. This is exact. Every automorphism maps twin classes onto twin classes
+of the same size, so it is the lift of a quotient map times a product of
+permutations within the classes, which the transpositions generate. So
+only the number of generators changes, not the group. The colours only
+prune: without them the search would still be exact, but would try maps
+between classes of different sizes, whose lifts are no permutations.
+
 Nothing here trusts metadata such as ``Graph.bipartition``: every
 permutation returned has passed the edge-by-edge test of
 :func:`is_automorphism`, so a leaf map that only looks right is dropped.
@@ -29,7 +45,8 @@ permutation returned has passed the edge-by-edge test of
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import Graph, edge_ids
@@ -161,33 +178,49 @@ def _maps_edges(g: Graph, bits: list[int], perm: Sequence[int]) -> bool:
     return True
 
 
+def _is_automorphism(g: Graph, bits: list[int], perm: Sequence[int]) -> bool:
+    return len(perm) == g.n and sorted(perm) == list(range(g.n)) and _maps_edges(g, bits, perm)
+
+
 def is_automorphism(g: Graph, perm: Sequence[int], fixed: Sequence[Iterable[int]] = ()) -> bool:
     """Whether the vertex map ``perm`` is a permutation of g's vertices that
     maps edges to edges and every edge set in ``fixed`` onto itself."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
-        return False
-    return _maps_edges(g, _edge_bits(g, fixed), perm)
+    return _is_automorphism(g, _edge_bits(g, fixed), perm)
 
 
 class _Tree:
-    """The individualization-refinement tree of g with edge bits ``bits``:
-    its first path, and the search for leaves that map onto its first leaf.
-    Levels count individualized vertices."""
+    """The individualization-refinement tree of a graph with weighted
+    adjacency ``nbrs``: its first path, and the search for leaves that map
+    onto its first leaf, where ``keeps(perm)`` tells whether a leaf map is
+    an automorphism. Levels count individualized vertices. With ``colours``
+    the tree starts from one cell per vertex colour, in colour order, so its
+    leaf maps keep colours."""
 
-    def __init__(self, g: Graph, bits: list[int]):
-        self.g = g
-        self.bits = bits
-        self.nbrs = _weighted_adjacency(g, bits)
+    def __init__(self, nbrs: list, keeps: Callable[[Permutation], bool],
+                 colours: Optional[Sequence[int]] = None):
+        n = len(nbrs)
+        self.nbrs = nbrs
+        self.keeps = keeps
         self.cells: list[list[int]] = []         # target cell at each level of the first path
         self.partitions: list[Partition] = []    # partition at each level
         self.traces: list[list] = []             # trace one level further down
-        partition = ([list(range(g.n))], [0] * g.n)
-        _refine(self.nbrs, *partition, [0])  # no other tree to compare its trace with
-        while len(partition[0]) < g.n:
+        if colours is None:
+            partition = ([list(range(n))], [0] * n)
+        else:
+            by_colour: dict[int, list[int]] = {}
+            for v, colour in enumerate(colours):
+                by_colour.setdefault(colour, []).append(v)
+            partition = ([by_colour[colour] for colour in sorted(by_colour)], [0] * n)
+            for c, cell in enumerate(partition[0]):
+                for v in cell:
+                    partition[1][v] = c
+        # No other tree to compare this trace with.
+        _refine(nbrs, *partition, list(range(len(partition[0]))))
+        while len(partition[0]) < n:
             cell = _target_cell(partition[0])
             self.cells.append(cell)
             self.partitions.append(partition)
-            partition, trace = _individualize(self.nbrs, partition, cell[0])
+            partition, trace = _individualize(nbrs, partition, cell[0])
             self.traces.append(trace)
         self.first_leaf = partition[1]
 
@@ -202,7 +235,7 @@ class _Tree:
         cells = partition[0]
         if level == len(self.cells):
             perm = tuple(cells[c][0] for c in self.first_leaf)
-            return perm if _maps_edges(self.g, self.bits, perm) else None
+            return perm if self.keeps(perm) else None
         for u in _target_cell(cells):
             child = self._child(partition, u, level)
             perm = None if child is None else self._leaf_map(child, level + 1)
@@ -214,7 +247,7 @@ class _Tree:
         """From the deepest level up, one search per vertex of the level's
         cell that the generators found so far do not map the first vertex
         to; each success is a generator."""
-        parent = list(range(self.g.n))  # vertex orbits of the generators found
+        parent = list(range(len(self.nbrs)))  # vertex orbits of the generators found
         found: list[Permutation] = []
         for level in reversed(range(len(self.cells))):
             first, *others = self.cells[level]
@@ -231,11 +264,54 @@ class _Tree:
         return found
 
 
+def _twin_generators(g: Graph, bits: list[int], nbrs: list) -> list[Permutation]:
+    """Generators of the group of g under ``bits``, whose weighted adjacency
+    ``nbrs`` has repeats, the twins: the quotient search's generators lifted
+    class member to member, then each class's adjacent transpositions."""
+    by_key: dict[tuple, list[int]] = {}
+    for v, key in enumerate(nbrs):
+        by_key.setdefault(key, []).append(v)
+    classes = list(by_key.values())  # each in vertex order, by first member
+    first = [members[0] for members in classes]
+    class_of = [0] * g.n
+    for c, members in enumerate(classes):
+        for v in members:
+            class_of[v] = c
+    # A class's first member sees every member of each class next to it,
+    # over edges of one weight; the quotient keeps one of them per class.
+    quotient = [tuple((class_of[w], weight) for w, weight in nbrs[v] if first[class_of[w]] == w)
+                for v in first]
+
+    def lift(quotient_perm: Permutation) -> Permutation:
+        perm = [-1] * g.n
+        for c, d in enumerate(quotient_perm):
+            for v, w in zip(classes[c], classes[d]):
+                perm[v] = w
+        return tuple(perm)
+
+    tree = _Tree(quotient, lambda quotient_perm: _is_automorphism(g, bits, lift(quotient_perm)),
+                 [len(members) for members in classes])
+    found = [lift(quotient_perm) for quotient_perm in tree.generators()]
+    for members in classes:
+        for v, w in zip(members, members[1:]):
+            perm = list(range(g.n))
+            perm[v], perm[w] = w, v
+            if _is_automorphism(g, bits, perm):
+                found.append(tuple(perm))
+    return found
+
+
 def automorphisms(g: Graph, fixed: Sequence[Iterable[int]] = ()) -> list[Permutation]:
     """Generators of the automorphisms of g that fix each edge set in
     ``fixed`` setwise, as vertex maps; empty when that group is trivial.
-    Every generator is checked by the same test as :func:`is_automorphism`."""
-    return _Tree(g, _edge_bits(g, fixed)).generators()
+    Every generator is checked by the same test as :func:`is_automorphism`.
+    Two vertices with equal weighted adjacency, sorted by neighbour, are
+    twins, so one set of it tells whether the twin quotient is needed."""
+    bits = _edge_bits(g, fixed)
+    nbrs = _weighted_adjacency(g, bits)
+    if len(set(nbrs)) == g.n:
+        return _Tree(nbrs, partial(_maps_edges, g, bits)).generators()
+    return _twin_generators(g, bits, nbrs)
 
 
 def refines_to_discrete(g: Graph) -> bool:

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -25,7 +26,7 @@ from preclusion import (
 from preclusion import symmetry
 from preclusion.reduction import build_reduction
 from preclusion.symmetry import automorphisms, edge_orbits, is_automorphism, refines_to_discrete
-from conftest import relabel
+from conftest import random_corpus, relabel
 
 
 def frucht():
@@ -78,8 +79,9 @@ def test_trivial_and_disconnected_groups():
 
 
 def _random_fixed_sets(g, rng):
-    fault = frozenset(rng.sample(range(g.m), rng.randint(0, 2)))
-    banned = frozenset(rng.sample(sorted(set(range(g.m)) - fault), rng.randint(0, 3)))
+    fault = frozenset(rng.sample(range(g.m), rng.randint(0, min(2, g.m))))
+    rest = sorted(set(range(g.m)) - fault)
+    banned = frozenset(rng.sample(rest, rng.randint(0, min(3, len(rest)))))
     return fault, banned
 
 
@@ -271,15 +273,19 @@ def test_rigid_graphs_skip_the_automorphism_search(monkeypatch):
 def test_leaf_check_alone_keeps_generators_sound(monkeypatch):
     # With an invariant that tells no two nodes of a level apart, every leaf
     # of a level is tried, and only the edge-by-edge check stands between a
-    # leaf map and the generator list.
+    # leaf map and the generator list. Frucht's graph with every vertex
+    # doubled into two twins has the rigid Frucht graph as its quotient, so
+    # there the check of each lifted quotient map does that job.
     refine = symmetry._refine
+    f = frucht()
+    doubled = Graph(24, [(2 * u + i, 2 * v + j) for u, v in f.edges for i in (0, 1) for j in (0, 1)])
 
     def blind(nbrs, cells, cell_of, queue):
         refine(nbrs, cells, cell_of, queue)
         return len(cells)
 
     monkeypatch.setattr(symmetry, "_refine", blind)
-    for g, order in GROUPS:
+    for g, order in GROUPS + [(doubled, 2**12)]:
         generators = automorphisms(g)
         assert all(is_automorphism(g, p) for p in generators)
         assert group_order(g.n, generators) == order
@@ -367,3 +373,104 @@ def test_orbit_pruning_changes_only_stats(monkeypatch):
         assert plain.stats["orbit_bans"] == plain.stats["automorphisms"] == 0
         banning += cert.stats["orbit_bans"] > 0
     assert banning >= len(runs) // 6
+
+
+def _has_twins(g):
+    return len({frozenset(to) for to in g.edge_to}) < g.n
+
+
+def _twin_graphs():
+    """Every graph with twins in a seeded corpus with n <= 7, K_{3,3},
+    K_{2,4}, the star K_{1,5}, the empty graph on 5 vertices, and a path
+    with two pendant twins at each end."""
+    corpus = [g for g in random_corpus(120, 511, n_choices=(4, 5, 6, 7)) if _has_twins(g)]
+    pendant_twins = Graph(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
+    return corpus + [complete_bipartite(3, 3), complete_bipartite(2, 4),
+                     complete_bipartite(1, 5), Graph(5, []), pendant_twins]
+
+
+def _plain_generators(g, fixed=()):
+    """The search on g itself, twins and all."""
+    bits = symmetry._edge_bits(g, fixed)
+    keeps = lambda perm: symmetry._maps_edges(g, bits, perm)
+    return symmetry._Tree(symmetry._weighted_adjacency(g, bits), keeps).generators()
+
+
+def test_twin_quotient_spans_the_whole_group(monkeypatch):
+    # Against brute force: the group the generators span is every
+    # permutation that passes is_automorphism, on graphs with twins. The
+    # class-size colours keep the quotient search from trying a map between
+    # classes of different sizes, whose lift is no permutation.
+    rng = random.Random(512)
+    check = symmetry._is_automorphism
+    tried = []
+
+    def recorded(g, bits, perm):
+        tried.append(tuple(perm))
+        return check(g, bits, perm)
+
+    monkeypatch.setattr(symmetry, "_is_automorphism", recorded)
+    star = complete_bipartite(1, 3)
+    # the fixed edge to leaf 2 splits the leaves' class into {1, 3} and {2}
+    cases = [(star, (frozenset({star.edge_id(0, 2)}),))]
+    for g in _twin_graphs():
+        cases += [(g, ())] + [(g, _random_fixed_sets(g, rng)) for _ in range(3) if g.m]
+    sizes = set()
+    whole = {}
+    for g, fixed in cases:
+        if g not in whole:
+            whole[g] = [p for p in permutations(range(g.n)) if is_automorphism(g, p)]
+        group = {p for p in whole[g] if is_automorphism(g, p, fixed)}
+        generators = automorphisms(g, fixed)
+        assert all(is_automorphism(g, p, fixed) for p in generators), (g.edges, fixed)
+        assert group_elements(g.n, generators) == group, (g.edges, fixed)
+        sizes.add(len(group))
+    assert len(cases) >= 100 and len(sizes) >= 10
+    assert tried and not [perm for perm in tried if -1 in perm]
+
+
+def test_twin_free_graphs_take_the_plain_search():
+    rng = random.Random(513)
+    for g in (hypercube(3), hypercube(4), hypercube(5), petersen(), frucht(), cycle(6)):
+        assert not _has_twins(g)
+        for fixed in [()] + [_random_fixed_sets(g, rng) for _ in range(4)]:
+            assert automorphisms(g, fixed) == _plain_generators(g, fixed)
+    # Q5 has no twins, so its counters, automorphisms included, are those
+    # of the search before twins were handled.
+    assert solve(hypercube(5), mp_s(1), budget=7).stats == {
+        "nodes": 975, "budget_prunes": 1, "side_prunes": 0, "bound_prunes": 830,
+        "orbit_bans": 536, "pendant_bans": 58, "automorphisms": 43,
+        "deepening_rounds": 8, "lexmin_nodes": 0}
+
+
+def test_twin_quotient_changes_only_the_generator_count(monkeypatch):
+    # The twin transpositions and the lifted quotient generators span the
+    # group the plain search spans, so the orbits, and with them every
+    # answer and counter but the generator count, stay the same.
+    rng = random.Random(514)
+    graphs = [complete_bipartite(4, 4), complete_bipartite(3, 5)]
+    graphs += [g for g in random_corpus(200, 515, n_choices=(6, 7, 8))
+               if _has_twins(g) and g.min_degree() >= 2][:12]
+    graphs += [g for g in _gadgets() if _has_twins(g)][:1]
+    graphs += [relabel(g, rng) for g in graphs[:2]]
+    runs = [(g, kind, deterministic) for g in graphs for kind in (MP, mp_s(1), mp_s(2), AK)
+            if kind != AK or g.n % 2 == 0 for deterministic in (False, True)]
+    assert sum(_has_twins(g) for g in graphs) == len(graphs) == 17
+    lifts = []
+    lift = symmetry._twin_generators
+
+    def counted(g, bits, nbrs):
+        lifts.append(g)
+        return lift(g, bits, nbrs)
+
+    monkeypatch.setattr(symmetry, "_twin_generators", counted)
+    twins = [solve(g, kind, deterministic=d) for g, kind, d in runs]
+    monkeypatch.setattr(symmetry, "automorphisms", _plain_generators)
+    plain = [solve(g, kind, deterministic=d) for g, kind, d in runs]
+    for (g, kind, _), a, b in zip(runs, twins, plain):
+        a_stats, b_stats = dict(a.stats), dict(b.stats)
+        del a_stats["automorphisms"], b_stats["automorphisms"]
+        assert a_stats == b_stats, (g.edges, kind)
+        assert (a.value, a.reason, a.witness, a.evidence) == (b.value, b.reason, b.witness, b.evidence)
+    assert sum(c.stats["orbit_bans"] > 0 for c in twins) >= len(runs) // 4
+    assert len(lifts) >= len(runs) // 2
