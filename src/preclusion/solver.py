@@ -13,8 +13,10 @@ problem, connectivity for anti-Kekule - are one component floor
 dies as soon as one fails.
 
 The search is a node step and a driver. The node step takes one child, one
-deletion step from its parent, and returns its outcome: None when pruned,
-else its F, B, M, children (none at a leaf) and their warm start. It
+deletion step from its parent, and returns its outcome: when pruned, its
+reason, the name of the ``stats`` counter the driver then bumps ("empty", for
+a U_i with no unbanned edge, names none); else its F, B, M, children (none at
+a leaf) and their warm start. It
 re-matches (deleting ab keeps M maximum unless M uses ab; then one Edmonds
 search from a, then from b, restores it), then applies the room-0 shortcut,
 the budget, the side rule, the leaf test, pendant bans and the packing
@@ -138,7 +140,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
 from .graphs import ComponentReport, EdgeSet, Graph, components, edge_ids, random_graph
@@ -350,18 +352,9 @@ def evidence_for(g: Graph, witness: Iterable[int]) -> Evidence:
 # Branch-and-bound optimizer
 # ---------------------------------------------------------------------------
 
-class _Stats:
-    """The search's counters, reported as ``stats`` under these names."""
-
-    __slots__ = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
-                 "pendant_bans", "automorphisms", "deepening_rounds", "lexmin_nodes")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+# The search's counters, reported as ``stats`` under these names.
+_STATS = ("nodes", "budget_prunes", "side_prunes", "bound_prunes", "orbit_bans",
+          "pendant_bans", "automorphisms", "deepening_rounds", "lexmin_nodes")
 
 
 class _Search:
@@ -377,7 +370,7 @@ class _Search:
         self.gate = g.n // 2
         self.mates = maximum_matching_mates(g)
         self.root_side = not self.has_side or kind.side_holds(components(g))
-        self.stats = _Stats()
+        self.stats = dict.fromkeys(_STATS, 0)
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
         # Whether g refines to discrete, asked at the first orbit request,
         # and then the singleton orbits that every lookup shares.
@@ -425,31 +418,26 @@ class _Search:
         return True
 
     def _step(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], k: int,
-              removed: int, warm: Optional[tuple[list[int], ...]]) -> Optional[tuple]:
+              removed: int, warm: Optional[tuple[list[int], ...]]) -> Union[str, tuple]:
         """The node step for the child deleting ``removed`` from the node
         (``fault``, ``banned``, maximum matching ``mates``, packing ``warm``:
         M_2, M_3, ...; at room 0, a near-perfect matching of g - F first).
-        Its outcome is None or (F, B, M, children, warm), children None at a
-        leaf."""
-        stats = self.stats
-        stats.nodes += 1
+        Its outcome is the reason it was pruned, or (F, B, M, children,
+        warm), children None at a leaf."""
         a, b = self.g.edges[removed]
         if warm is not None and len(fault) + 1 == k and warm[0][a] != b:
-            stats.budget_prunes += 1
-            return None
+            return "budget_prunes"
         fault = fault | {removed}
         rematched = self._mates_after(fault, mates, removed)
         # A leaf has nu <= floor(n/2) - 1: more free vertices than n % 2.
         leaf = rematched.count(-1) > self.g.n % 2
         if not leaf and len(fault) >= k:
-            stats.budget_prunes += 1
-            return None
+            return "budget_prunes"
         # A re-matching that matched both a and b again ran one alternating
         # path from a to b in g - F, so ab is no bridge (module docstring).
         joined = rematched is not mates and -1 not in (rematched[a], rematched[b])
         if self.has_side and not joined and not self._side_holds(fault, removed):
-            stats.side_prunes += 1
-            return None
+            return "side_prunes"
         if leaf:
             return fault, banned, rematched, None, None
         # Pendant bans (module docstring): only the ends of the edge just
@@ -467,18 +455,19 @@ class _Search:
                     if last not in banned:
                         pendant.add(last)
             if pendant:
-                stats.pendant_bans += len(pendant)
+                self.stats["pendant_bans"] += len(pendant)
                 banned = banned | pendant
         return self._pack(fault, banned, rematched, k - len(fault), warm, [], [], set(fault))
 
     def _pack(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], room: int,
               warm: Optional[tuple[list[int], ...]], packings: list[list[int]],
-              cuts: list[list[int]], dead: set[int]) -> Optional[tuple]:
+              cuts: list[list[int]], dead: set[int]) -> Union[str, tuple]:
         """The packing bound of the node (F, B, M_1) at ``room``: grow M_2,
         M_3, ... past ``packings``, those grown so far (the root keeps its
         lists for every round), with ``cuts`` the parts U_1, U_2, ... listed
         so far and ``dead`` F plus the cuts, until more than ``room`` refute
-        the node (None) or one fails: then the outcome. Each M_(i+1) starts
+        the node ("bound_prunes"), a U_i is empty ("empty") or one fails:
+        then the outcome. Each M_(i+1) starts
         from ``warm``'s less U_1..U_i while ``warm`` lasts, and from M_i
         less U_i after that."""
         g = self.g
@@ -494,13 +483,12 @@ class _Search:
                 # empty, which refutes it at every k: one unbanned edge tells.
                 for v, w in enumerate(packing):
                     if w > v and edge_to[v][w] not in banned:
-                        self.stats.bound_prunes += 1
-                        break
-                return None
+                        return "bound_prunes"
+                return "empty"
             unbanned = [eid for v, w in enumerate(packing)
                         if w > v and (eid := edge_to[v][w]) not in banned]
             if not unbanned:
-                return None
+                return "empty"
             dead.update(unbanned)
             cuts.append(unbanned)
             if len(packings) < len(carried):
@@ -524,23 +512,27 @@ class _Search:
         cuts[0].sort()
         return fault, banned, mates, cuts[0], warm
 
-    def _below(self, k: int, fault: frozenset[int], banned: frozenset[int], mates: list[int],
-               children: Optional[list[int]], warm: Optional[tuple[list[int], ...]]
+    def _below(self, k: int, outcome: Union[str, tuple]
                ) -> Optional[tuple[frozenset[int], list[int], list]]:
-        """The driver below a node's outcome: the first qualifying set of size
-        <= ``k`` there, its leaf's matching and its path, the (F, B) of each
-        node above it as it descended, deepest first; or None."""
+        """The driver below a node's ``outcome``, which it counts: the first
+        qualifying set of size <= ``k`` there, its leaf's matching and its path,
+        the (F, B) of each node above it as it descended, deepest first; or None."""
+        stats = self.stats
+        stats["nodes"] += 1
+        if isinstance(outcome, str):
+            if outcome != "empty":
+                stats[outcome] += 1
+            return None
+        fault, banned, mates, children, warm = outcome
         if children is None:
             return fault, mates, []
-        stats = self.stats
         cur_banned = banned
         orbits = None
         for eid in children:
             if eid in cur_banned:
                 continue
-            start = stats.nodes
-            node = self._step(fault, cur_banned, mates, k, eid, warm)
-            found = node and self._below(k, *node)
+            start = stats["nodes"]
+            found = self._below(k, self._step(fault, cur_banned, mates, k, eid, warm))
             if found:
                 found[2].append((fault, cur_banned))
                 return found
@@ -550,12 +542,12 @@ class _Search:
             # far, and from then on the orbit of each refuted child.
             if orbits is not None:
                 grown = cur_banned | orbits[eid]
-            elif stats.nodes - start >= self.gate:
+            elif stats["nodes"] - start >= self.gate:
                 orbits = self._edge_orbits(fault, banned)
                 grown = cur_banned.union(*(orbits[e] for e in cur_banned - banned))
             else:
                 continue
-            stats.orbit_bans += len(grown) - len(cur_banned)
+            stats["orbit_bans"] += len(grown) - len(cur_banned)
             cur_banned = grown
         return None
 
@@ -569,22 +561,20 @@ class _Search:
                             if len(nbrs) == 1) if self.pendant else frozenset()
         packing = ([], [], set())
         for k in range(cap + 1):
-            stats.deepening_rounds += 1
-            stats.nodes += 1
+            stats["deepening_rounds"] += 1
+            prunes = stats["budget_prunes"] + stats["bound_prunes"]
             if k == 0:
-                stats.budget_prunes += 1
-                continue
-            if not self.root_side:
-                stats.side_prunes += 1
-                return None
-            prunes = stats.budget_prunes + stats.bound_prunes
-            stats.pendant_bans += len(pendant)
-            node = self._pack(frozenset(), pendant, self.mates, k, None, *packing)
-            found = node and self._below(k, *node)
+                outcome = "budget_prunes"
+            elif not self.root_side:
+                outcome = "side_prunes"
+            else:
+                stats["pendant_bans"] += len(pendant)
+                outcome = self._pack(frozenset(), pendant, self.mates, k, None, *packing)
+            found = self._below(k, outcome)
             # A round that neither the budget nor the k-dependent packing
             # bound cut refuted the whole tree, and every larger k would
             # search that same tree again.
-            if found or stats.budget_prunes + stats.bound_prunes == prunes:
+            if found or stats["budget_prunes"] + stats["bound_prunes"] == prunes:
                 return found
         return None
 
@@ -595,6 +585,9 @@ class _Search:
         key = (fault, banned)
         orbits = self.orbits.get(key)
         if orbits is None:
+            # Imported here, so a solve that never looks up orbits does not load
+            # ``symmetry``; two library copies in one process then share one, so
+            # time each side of a symmetry A/B in its own process.
             from .symmetry import automorphisms, edge_orbits, refines_to_discrete
             if self.rigid is None:
                 self.rigid = refines_to_discrete(self.g)
@@ -605,7 +598,7 @@ class _Search:
                 orbits = self.singletons
             else:
                 generators = automorphisms(self.g, key)
-                self.stats.automorphisms += len(generators)
+                self.stats["automorphisms"] += len(generators)
                 orbits = edge_orbits(self.g, generators)
             self.orbits[key] = orbits
         return orbits
@@ -621,7 +614,7 @@ class _Search:
         P, and the last one is the answer. A candidate whose fault set holds
         the F of a node on ``found``'s path also bans that node's B, or is
         refuted if it meets B."""
-        start = self.stats.nodes
+        start = self.stats["nodes"]
         witness, leaf, path = found
         best = sorted(witness)
         k = len(best)
@@ -636,15 +629,14 @@ class _Search:
                             break
                         banned |= b_d
                 else:
-                    node = self._step(prefix, banned, mates, k, e, None)
-                    candidate = node and self._below(k, *node)
+                    candidate = self._below(k, self._step(prefix, banned, mates, k, e, None))
                     if candidate:
                         witness, leaf = candidate[:2]
                         best = sorted(witness)
                         break
             prefix = prefix | {best[pos]}
             mates = self._mates_after(prefix, mates, best[pos])
-        self.stats.lexmin_nodes = self.stats.nodes - start
+        self.stats["lexmin_nodes"] = self.stats["nodes"] - start
         return witness, leaf
 
 
@@ -656,46 +648,53 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     an infeasible answer then only asserts that no set of size <= budget
     exists. ``deterministic=True`` additionally pins the witness to the
     lexicographically smallest optimum. ``jobs`` is accepted and validated
-    (it must be >= 1) but has no effect: the search is single-threaded.
+    (it must be an int >= 1) but has no effect: the search is single-threaded.
     """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    _check_int(jobs, "jobs", 1)
     _check_size_cap(budget, "budget")
     kind.check_order(g.n)
 
     search = _Search(g, kind)
-    stats = search.stats
     trivial = _infinity_without_search(kind, search.mates.count(-1) <= g.n % 2,
-                                       search.root_side, stats.as_dict())
+                                       search.root_side, search.stats)
     if trivial is not None:
         return trivial
     found = search._rounds(g.m if budget is None else min(budget, g.m))
     if found is None:
-        return _none_within(g, kind, budget, stats.as_dict())
+        return _none_within(g, kind, budget, search.stats)
     witness, mates = search._lex_min_witness(found) if deterministic else found[:2]
     edge_set = EdgeSet(g, witness)
     rep = components(g, without=edge_set)
     evidence = Evidence((g.n - mates.count(-1)) // 2, rep.min_size, rep.connected)
-    return PreclusionCertificate(kind, len(witness), edge_set, evidence, stats=stats.as_dict())
+    return PreclusionCertificate(kind, len(witness), edge_set, evidence, stats=search.stats)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
+def _check_int(value: int, name: str, least: int) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an int >= ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_size_cap(cap: Optional[int], name: str) -> None:
-    if cap is not None and cap < 0:
-        raise ParameterError(f"{name} must be >= 0, got {cap}")
+    if cap is not None:
+        _check_int(cap, name, 0)
 
 
 def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(checked, combo)`` for every edge subset whose deletion hits each
     mask of ``near_perfect_matching_masks``, size by size in ``sizes`` and
     lexicographically within a size; ``checked`` counts the subsets tested
-    so far. A graph with no near-perfect matching yields nothing; a
-    negative size raises :class:`ParameterError`."""
+    so far. A graph with no near-perfect matching yields nothing; a size
+    that is no integer >= 0 raises :class:`ParameterError`."""
     sizes = tuple(sizes)
-    _check_size_cap(min(sizes, default=0), "size")
+    for size in sizes:
+        _check_size_cap(size, "size")
     masks = near_perfect_matching_masks(g)
     if not masks:
         return

@@ -141,6 +141,21 @@ def test_precluding_subsets_rejects_a_negative_size():
             list(precluding_subsets(g, [2, -1]))
 
 
+def test_sizes_and_jobs_must_be_integers():
+    # A bool is an int to Python, but no size or job count.
+    q3 = hypercube(3)
+    for kwargs in ({"budget": True}, {"budget": 2.5}, {"jobs": 1.5}, {"jobs": True}):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            solve(q3, MP, **kwargs)
+    with pytest.raises(ParameterError, match="max_size must be an integer"):
+        brute_force_solve(cycle(4), MP, max_size=1.5)
+    with pytest.raises(ParameterError, match="max_size must be an integer"):
+        first_qualifying_subsets(cycle(4), [MP], max_size=False)
+    with pytest.raises(ParameterError, match="size must be an integer"):
+        list(precluding_subsets(cycle(4), [1, 2.0]))
+    assert solve(q3, MP, budget=3, jobs=2).value == 3
+
+
 def test_chain_suite_rejects_a_negative_max_s():
     # With no kind to solve the chain is empty and would pass vacuously.
     from preclusion import chain_suite
@@ -839,3 +854,30 @@ def test_frontier_q6_restricted_budget_9():
     assert cert.reason == "no 1-restricted matching preclusion set of size at most 9 exists"
     assert cert.stats["nodes"] <= 26_691
     assert cert.stats["orbit_bans"] > 0 and cert.stats["automorphisms"] > 0
+
+
+def test_every_prune_path_pins_its_stats():
+    # One solve per prune path: the root's empty U_1 (no bound prune, or
+    # deepening would go on), the root's side rule, a child's side rule, and
+    # the room and budget cuts with orbit, pendant and lex-min work. Every
+    # counter is pinned, so a prune counted twice, or not at all, shows.
+    from preclusion import path, petersen
+    zero = dict.fromkeys(solve(cycle(4), MP).stats, 0)
+    runs = [
+        (solve(path(4), mp_s(1)),
+         {"nodes": 2, "budget_prunes": 1, "pendant_bans": 2, "deepening_rounds": 2}),
+        (solve(Graph(4, [(0, 1), (2, 3)]), mp_s(2)),
+         {"nodes": 2, "budget_prunes": 1, "side_prunes": 1, "deepening_rounds": 2}),
+        (solve(path(200), AK),
+         {"nodes": 100, "budget_prunes": 1, "side_prunes": 98, "pendant_bans": 2,
+          "deepening_rounds": 2}),
+        (solve(petersen(), AK, deterministic=True),
+         {"nodes": 25, "budget_prunes": 16, "bound_prunes": 1, "orbit_bans": 24,
+          "pendant_bans": 1, "automorphisms": 7, "deepening_rounds": 4}),
+        (solve(hypercube(4), mp_s(2), deterministic=True),
+         {"nodes": 101, "budget_prunes": 1, "bound_prunes": 78, "orbit_bans": 93,
+          "pendant_bans": 10, "automorphisms": 9, "deepening_rounds": 7,
+          "lexmin_nodes": 29}),
+    ]
+    for cert, counts in runs:
+        assert cert.stats == {**zero, **counts}

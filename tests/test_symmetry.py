@@ -266,7 +266,7 @@ def test_rigid_graphs_skip_the_automorphism_search(monkeypatch):
     calls.clear()
     lookup = _Search(frucht(), mp_s(1))
     orbits = lookup._edge_orbits(frozenset({0}), frozenset({5}))
-    assert len(calls) == 1 and lookup.stats.automorphisms == 0
+    assert len(calls) == 1 and lookup.stats["automorphisms"] == 0
     assert orbits == tuple(frozenset({eid}) for eid in range(frucht().m))
 
 
@@ -305,8 +305,7 @@ def test_orbits_of_aut_g_in_place_of_gamma_give_a_wrong_answer(monkeypatch):
         out = []
         for e in range(q4.m):
             search = _Search(q4, kind)
-            node = search._step(frozenset(), frozenset(), search.mates, 6, e, None)
-            found = node and search._below(6, *node)
+            found = search._below(6, search._step(frozenset(), frozenset(), search.mates, 6, e, None))
             if found:
                 assert e in found[0] and len(found[0]) == 6
                 assert is_s_restricted_set(q4, EdgeSet(q4, found[0]), 1)
