@@ -19,7 +19,7 @@ from typing import Optional
 from . import __version__
 from .errors import ParameterError, ParseError, PreclusionError
 from .formats import detect_format, emit, parse
-from .graphs import FAMILIES, Graph, generate, hypercube
+from .graphs import FAMILIES, Graph, check_int, generate, hypercube
 from .cubes import (
     lemma_report_conditional_sets,
     super_connectivity_report,
@@ -393,10 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Checked here, not only in solve, so suites that never solve reject it too.
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
+        # Checked here, not only in solve, so suites that never solve reject it too.
+        check_int(getattr(args, "jobs", 1), "--jobs", 1)
         return args.func(parser, args)
     except PreclusionError as exc:
         print(f"error: {exc}", file=sys.stderr)

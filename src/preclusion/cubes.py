@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import BudgetError, ParameterError, PreclusionError
-from .graphs import EdgeSet, Graph, components, hypercube
+from .graphs import EdgeSet, Graph, check_int, components, hypercube
 from .solver import (
     AK,
     PreclusionCertificate,
@@ -78,7 +78,8 @@ incident_set = trivial_mp_set
 
 def incident_pair_set(g: Graph, edge_id: int) -> EdgeSet:
     """I(uv) = I(u) union I(v) minus {uv}; size 2n-2 on the n-cube."""
-    if not 0 <= edge_id < g.m:
+    check_int(edge_id, "edge_id", 0)
+    if edge_id >= g.m:
         raise ParameterError(f"edge index {edge_id} out of range for m={g.m}")
     u, v = g.edges[edge_id]
     return EdgeSet(g, (g.incident(u) | g.incident(v)) - {edge_id})
@@ -121,6 +122,7 @@ def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
     conditional (1-restricted) preclusion sets, and test whether each one is
     the trivial set of some 2-path. Exhaustive: n=3 always, n=4 only behind
     ``allow_slow`` (about 9 * 10^5 subsets)."""
+    check_int(n, "n", 3)
     if n == 4 and not allow_slow:
         raise BudgetError("n=4 enumerates ~9e5 subsets; pass allow_slow=True")
     if n not in (3, 4):
@@ -167,9 +169,9 @@ def verify_mps_hypercube(n: int, s: int) -> PreclusionCertificate:
     the search finds refutes the bound: it is returned as the certificate,
     with a note saying so.
     """
-    if n < 3:
-        raise ParameterError(f"need n >= 3, got {n}")
-    if not 2 <= s <= 2**n - 1:
+    check_int(n, "n", 3)
+    check_int(s, "s", 2)
+    if s > 2**n - 1:
         raise ParameterError(
             f"restriction level {s} outside the satisfiable range 2..{2**n - 1}")
     g = hypercube(n)
@@ -198,8 +200,7 @@ def star_plus_padding_counterexample(n: int) -> tuple[Graph, EdgeSet]:
     the n-cube: the full star of vertex 0 plus n-2 edges far from it. This
     falsifies the literal form of the connectivity statement and motivates
     the corrected form tested by :func:`super_connectivity_report`."""
-    if n < 3:
-        raise ParameterError(f"need n >= 3, got {n}")
+    check_int(n, "n", 3)
     g = hypercube(n)
     near = {0} | set(g.neighbors(0))
     padding = []
@@ -223,14 +224,12 @@ def super_connectivity_report(n: int, samples: Optional[int] = None,
     neither ``samples`` nor ``seed``; otherwise seeded random sampling of
     ``samples`` sets (default 100,000, seed 0), reported with its seed.
     The literal-form counterexample is rebuilt and reported alongside."""
-    if n < 3:
-        raise ParameterError(f"need n >= 3, got {n}")
+    check_int(n, "n", 3)
     if n == 3 and (samples is not None or seed is not None):
         raise ParameterError("n=3 is checked exhaustively and takes no samples or seed")
     samples = 100_000 if samples is None else samples
     seed = 0 if seed is None else seed
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
+    check_int(samples, "samples", 1)
     g = hypercube(n)
     size = 2 * n - 2
     pair_cuts = _incident_pair_cuts(g)

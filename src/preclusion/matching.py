@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Container, FrozenSet, Iterable
 
 from .errors import OracleLimitError, ParameterError
-from .graphs import EdgeSet, Graph, edge_ids
+from .graphs import EdgeSet, Graph, check_int, edge_ids
 
 __all__ = [
     "Matching",
@@ -245,6 +245,7 @@ def has_almost_perfect_matching(g: Graph) -> bool:
 def brute_force_matching_number(g: Graph, limit: int = MATCHING_ORACLE_EDGE_LIMIT) -> int:
     """Matching number by exhaustive search over edge subsets that form
     matchings. Independent oracle for :func:`max_matching`."""
+    check_int(limit, "limit", 0)
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
     edges = g.edges

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, PreconditionError, ReductionError
-from .graphs import EdgeSet, Graph, edge_ids, random_bipartite_with_pm, with_bipartition
+from .graphs import EdgeSet, Graph, check_int, edge_ids, random_bipartite_with_pm, with_bipartition
 from .matching import has_perfect_matching
 from .solver import (
     AK,
@@ -123,8 +123,7 @@ def backward_extract(r: ReductionInstance, b_prime: Iterable[int], k: int) -> Ed
     raises :class:`ReductionError` rather than being repaired silently.
     """
     dead = edge_ids(r.gadget, b_prime)
-    if k < 0:
-        raise ParameterError(f"budget must be >= 0, got {k}")
+    check_int(k, "k", 0)
     if len(dead) > r.k_map(k):
         raise PreconditionError(
             f"gadget fault set has {len(dead)} edges, budget allows {r.k_map(k)}")
@@ -193,10 +192,8 @@ def _oracle_values(g: Graph, s_values: Sequence[int]
 def verify_equivalence(g: Graph, k: int, s: int = 1) -> EquivalenceCheck:
     """Check, purely with the brute-force oracle, that mp(G) <= k iff
     ak(G') <= k+1 iff mp_s(G') <= k+1 for the gadget G' of ``g``."""
-    if k < 0:
-        raise ParameterError(f"budget must be >= 0, got {k}")
-    if s < 1:
-        raise ParameterError(f"restriction level must be >= 1, got {s}")
+    check_int(k, "k", 0)
+    check_int(s, "s", 1)
     r, mp_value, ak_value, (mps_value,) = _oracle_values(g, [s])
     left = mp_value <= k
     right_ak = ak_value <= r.k_map(k)
@@ -211,14 +208,12 @@ def fuzz_equivalence(seed: int = 0, count: int = 200, s_values: Sequence[int] = 
     sources with planted perfect matchings, every budget k from 0 to |E|,
     each configured restriction level. Returns a report, with its seed and
     any disagreements found."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    check_int(count, "count", 1)
     if not s_values:
         raise ParameterError("s_values must name at least one restriction level")
-    if any(s < 1 for s in s_values):
-        raise ParameterError(f"restriction levels must be >= 1, got {list(s_values)}")
-    if t_max < 1:
-        raise ParameterError(f"t_max must be >= 1, got {t_max}")
+    for s in s_values:
+        check_int(s, "s_values entry", 1)
+    check_int(t_max, "t_max", 1)
     rng = random.Random(seed)
     disagreements = []
     checks = 0

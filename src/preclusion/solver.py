@@ -143,7 +143,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
-from .graphs import ComponentReport, EdgeSet, Graph, components, edge_ids, random_graph
+from .graphs import ComponentReport, EdgeSet, Graph, check_int, components, edge_ids, random_graph
 from .matching import (
     augment_from,
     matching_number_excluding,
@@ -192,8 +192,7 @@ class ProblemKind:
     def __post_init__(self):
         if self.name not in ("mp", "mps", "ak"):
             raise ParameterError(f"unknown problem kind {self.name!r}")
-        if self.s < 0:
-            raise ParameterError(f"restriction level must be >= 0, got {self.s}")
+        check_int(self.s, "s", 0)
         if self.name != "mps" and self.s != 0:
             raise ParameterError(f"kind {self.name!r} does not take a restriction level")
 
@@ -308,7 +307,8 @@ def is_anti_kekule_set(g: Graph, f: Iterable[int]) -> bool:
 def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
     """I(v): all edges incident to ``v``. For even order this is always a
     matching preclusion set (v becomes isolated)."""
-    if not 0 <= v < g.n:
+    check_int(v, "v", 0)
+    if v >= g.n:
         raise ParameterError(f"vertex {v} out of range for n={g.n}")
     return EdgeSet(g, g.incident(v))
 
@@ -650,7 +650,7 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     lexicographically smallest optimum. ``jobs`` is accepted and validated
     (it must be an int >= 1) but has no effect: the search is single-threaded.
     """
-    _check_int(jobs, "jobs", 1)
+    check_int(jobs, "jobs", 1)
     _check_size_cap(budget, "budget")
     kind.check_order(g.n)
 
@@ -673,17 +673,9 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _check_int(value: int, name: str, least: int) -> None:
-    """Raise :class:`ParameterError` unless ``value`` is an int >= ``least``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
-
-
 def _check_size_cap(cap: Optional[int], name: str) -> None:
     if cap is not None:
-        _check_int(cap, name, 0)
+        check_int(cap, name, 0)
 
 
 def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -746,6 +738,7 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
     """
     kind.check_order(g.n)
     _check_size_cap(max_size, "max_size")
+    check_int(limit, "limit", 0)
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
     cap = g.m if max_size is None else min(max_size, g.m)
@@ -774,10 +767,8 @@ def chain_suite(seed: int = 0, count: int = 100, max_s: int = 3) -> dict:
     """Check mp <= mp_1 <= ... <= mp_max_s (INFINITY on top) on ``count``
     seeded random even-order graphs within the oracle edge limit; the report
     carries its seed."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if max_s < 0:
-        raise ParameterError(f"max_s must be >= 0, got {max_s}")
+    check_int(count, "count", 1)
+    check_int(max_s, "max_s", 0)
     rng = random.Random(seed)
     violations = []
     for index in range(count):

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +236,63 @@ def test_find_bipartition():
     sides = find_bipartition(hypercube(3))
     for u, v in hypercube(3).edges:
         assert sides[u] != sides[v]
+
+
+def _raises_parameter_error(node) -> bool:
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "ParameterError"
+
+
+def _is_lower_bound(test) -> bool:
+    """``n < 3`` or ``self.s < 0``, alone or under ``not``, ``and`` and
+    ``or``: the shape of a hand-rolled lower bound. A range test such as
+    ``0 <= u < n``, which bounds an index from both sides, stays."""
+    if isinstance(test, ast.UnaryOp):
+        return _is_lower_bound(test.operand)
+    if isinstance(test, ast.BoolOp):
+        return any(map(_is_lower_bound, test.values))
+    if not isinstance(test, ast.Compare):
+        return False
+    terms = [test.left, *test.comparators]
+    return any(isinstance(op, ast.Lt) and isinstance(a, (ast.Name, ast.Attribute))
+               and isinstance(b, ast.Constant) and type(b.value) is int
+               for a, op, b in zip(terms, test.ops, terms[1:]))
+
+
+class _IntegerRules(ast.NodeVisitor):
+    """Where a ParameterError states the integer rule: its wording in the
+    message, or a lower bound on a name as the condition that raises it."""
+
+    def __init__(self, module: str):
+        self.where, self.found = module, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.where = self.where, f"{self.where}.{node.name}"
+        if self.where != "graphs.check_int":
+            self.generic_visit(node)
+        self.where = outer
+
+    def visit_If(self, node):
+        if _is_lower_bound(node.test) and any(map(_raises_parameter_error, node.body)):
+            self.found.append(f"{self.where}:{node.lineno} checks a lower bound by hand")
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        text = "".join(c.value for c in ast.walk(node)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        if _raises_parameter_error(node) and ("must be >=" in text
+                                              or "must be an integer" in text):
+            self.found.append(f"{self.where}:{node.lineno} words the integer rule")
+
+
+def test_check_int_is_the_one_integer_rule():
+    # graphs.check_int states the rule once; an upper bound after it stays.
+    found = []
+    for source in sorted((Path(__file__).resolve().parent.parent / "src" / "preclusion")
+                         .glob("*.py")):
+        rules = _IntegerRules(source.stem)
+        rules.visit(ast.parse(source.read_text(), str(source)))
+        found += rules.found
+    assert found == []

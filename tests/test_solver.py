@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import pytest
@@ -13,18 +14,32 @@ from preclusion import (
     OracleLimitError,
     ParameterError,
     PreconditionError,
+    backward_extract,
+    brute_force_matching_number,
     brute_force_solve,
+    chain_suite,
+    complete,
     complete_bipartite,
     cycle,
+    fuzz_equivalence,
     hypercube,
+    incident_pair_set,
     is_anti_kekule_set,
     is_matching_preclusion_set,
     is_s_restricted_set,
     mp_s,
+    path,
+    random_graph,
     solve,
+    star_plus_padding_counterexample,
+    super_connectivity_report,
     trivial_mp_set,
+    verify_equivalence,
+    verify_mps_hypercube,
 )
 from preclusion import random_bipartite_with_pm
+from preclusion.cubes import lemma_report_conditional_sets
+from preclusion.graphs import edge_ids
 from preclusion.reduction import build_reduction
 from preclusion.solver import first_qualifying_subsets, precluding_subsets
 from conftest import random_even_corpus
@@ -141,8 +156,65 @@ def test_precluding_subsets_rejects_a_negative_size():
             list(precluding_subsets(g, [2, -1]))
 
 
+_C4, _K22 = cycle(4), complete_bipartite(2, 2)
+_GADGET = build_reduction(_C4)
+
+# One row per integer argument of the library: (call, argument name, least value).
+INTEGER_ARGUMENTS = [
+    (lambda x: Graph(x, []), "n", 0),
+    (lambda x: Graph(3, [(0, x)]), "edge", 0),
+    (lambda x: Graph(3, [(x, 2)]), "edge", 0),
+    (lambda x: edge_ids(_C4, [x]), "edge index", 0),
+    (hypercube, "n", 1),
+    (complete, "n", 1),
+    (lambda x: complete_bipartite(x, 2), "a", 1),
+    (lambda x: complete_bipartite(2, x), "b", 1),
+    (cycle, "n", 3),
+    (path, "n", 1),
+    (lambda x: random_bipartite_with_pm(x, 0.5, 1), "t", 1),
+    (lambda x: random_graph(x, 0, 1), "n", 1),
+    (lambda x: random_graph(6, x, 1), "m", 0),
+    (mp_s, "s", 0),
+    (lambda x: trivial_mp_set(_C4, x), "v", 0),
+    (lambda x: solve(_C4, MP, budget=x), "budget", 0),
+    (lambda x: solve(_C4, MP, jobs=x), "jobs", 1),
+    (lambda x: list(precluding_subsets(_C4, [1, x])), "size", 0),
+    (lambda x: first_qualifying_subsets(_C4, [MP], max_size=x), "max_size", 0),
+    (lambda x: brute_force_solve(_C4, MP, max_size=x), "max_size", 0),
+    (lambda x: brute_force_solve(_C4, MP, limit=x), "limit", 0),
+    (lambda x: chain_suite(count=x), "count", 1),
+    (lambda x: chain_suite(count=1, max_s=x), "max_s", 0),
+    (lambda x: backward_extract(_GADGET, [], x), "k", 0),
+    (lambda x: verify_equivalence(_K22, x), "k", 0),
+    (lambda x: verify_equivalence(_K22, 1, x), "s", 1),
+    (lambda x: fuzz_equivalence(count=x), "count", 1),
+    (lambda x: fuzz_equivalence(count=1, s_values=(1, x)), "s_values entry", 1),
+    (lambda x: fuzz_equivalence(count=1, t_max=x), "t_max", 1),
+    (lambda x: verify_mps_hypercube(x, 2), "n", 3),
+    (lambda x: verify_mps_hypercube(3, x), "s", 2),
+    (star_plus_padding_counterexample, "n", 3),
+    (super_connectivity_report, "n", 3),
+    (lambda x: super_connectivity_report(4, samples=x), "samples", 1),
+    (lemma_report_conditional_sets, "n", 3),
+    (lambda x: incident_pair_set(_C4, x), "edge_id", 0),
+    (lambda x: brute_force_matching_number(_C4, x), "limit", 0),
+]
+
+
 def test_sizes_and_jobs_must_be_integers():
-    # A bool is an int to Python, but no size or job count.
+    # A bool is an int to Python, but no size, count, level or index; a float
+    # is none either, and neither may answer or escape as a bare TypeError.
+    for call, name, least in INTEGER_ARGUMENTS:
+        for bad in (True, 1.5, least - 1):
+            with pytest.raises(ParameterError, match=f"^{re.escape(name)} ") as info:
+                call(bad)
+            assert type(info.value) is ParameterError, (name, bad)
+    for call in (lambda: is_matching_preclusion_set(_C4, [0.5, 1.5]),
+                 lambda: EdgeSet(_C4, [True])):
+        with pytest.raises(ParameterError, match="^edge index must be an integer"):
+            call()
+    with pytest.raises(ParameterError, match="^edge endpoint must be an integer, got True"):
+        Graph(3, [(0, True)])
     q3 = hypercube(3)
     for kwargs in ({"budget": True}, {"budget": 2.5}, {"jobs": 1.5}, {"jobs": True}):
         with pytest.raises(ParameterError, match="must be an integer"):
