@@ -101,6 +101,9 @@ class Graph:
         )
         if bipartition is not None:
             sides = tuple(bipartition)
+            for side in sides:
+                if type(side) is not int:
+                    check_int(side, "bipartition side", 0)
             if len(sides) != n or any(side not in (0, 1) for side in sides):
                 raise ParameterError("bipartition must assign 0 or 1 to each vertex")
             for u, v in self.edges:
@@ -231,11 +234,12 @@ def edge_ids(graph: Graph, edges: Iterable[int]) -> frozenset[int]:
             raise TagMismatchError("edge set is tagged to a different graph")
         return edges.members
     dead = frozenset(edges)
+    for eid in dead:
+        if type(eid) is not int:
+            check_int(eid, "edge index", 0)
     if dead and (min(dead) < 0 or max(dead) >= graph.m):
         eid = min(dead) if min(dead) < 0 else max(dead)
         raise ParameterError(f"edge index {eid} out of range for m={graph.m}")
-    for eid in dead:
-        check_int(eid, "edge index", 0)
     return dead
 
 

@@ -18,9 +18,9 @@ reason, the name of the ``stats`` counter the driver then bumps ("empty", for
 a U_i with no unbanned edge, names none); else its F, B, M, children (none at
 a leaf) and their warm start. It
 re-matches (deleting ab keeps M maximum unless M uses ab; then one Edmonds
-search from a, then from b, restores it), then applies the room-0 shortcut,
-the budget, the side rule, the leaf test, pendant bans and the packing
-bound. The side rule held at the parent, and only ab can split a component.
+search from a, then from b, restores it), then applies the budget, the side
+rule, the leaf test, pendant bans and the packing bound. The side rule held
+at the parent, and only ab can split a component.
 When M used ab and the re-matching matched both a and b again, one
 alternating path joined them in g - F: a freed vertex is matched again only
 as the end of an augmenting path, a path from a to the third free vertex of
@@ -64,11 +64,6 @@ from the child's near a few vertices, where M_i less U_i leaves most of the
 graph free. M_1 and so the children are the node's own, so DFS order,
 values and witnesses stay those of the plain enumeration; only which
 subtrees the bound cuts, and so the ``stats`` counters, depend on the starts.
-
-The children of a node at room 1 are leaves or budget prunes. When its
-parent's M_2 is near-perfect it is a near-perfect matching of g - F, so the
-node hands it on, and a child whose edge it avoids is no leaf: that child
-counts as a node and a budget prune without its Edmonds search.
 
 Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, "Orbital
 branching", Math. Programming 126, 2011) stops the search from refuting
@@ -372,10 +367,8 @@ class _Search:
         self.root_side = not self.has_side or kind.side_holds(components(g))
         self.stats = dict.fromkeys(_STATS, 0)
         self.orbits: dict[tuple[frozenset[int], frozenset[int]], tuple[frozenset[int], ...]] = {}
-        # Whether g refines to discrete, asked at the first orbit request,
-        # and then the singleton orbits that every lookup shares.
+        # Whether g refines to discrete, asked at the first orbit request.
         self.rigid: Optional[bool] = None
-        self.singletons: tuple[frozenset[int], ...] = ()
 
     def _mates_after(self, dead: frozenset[int], parent_mates: list[int], removed: int) -> list[int]:
         # The parent's matching M was maximum, and stays so (shared, never
@@ -421,12 +414,10 @@ class _Search:
               removed: int, warm: Optional[tuple[list[int], ...]]) -> Union[str, tuple]:
         """The node step for the child deleting ``removed`` from the node
         (``fault``, ``banned``, maximum matching ``mates``, packing ``warm``:
-        M_2, M_3, ...; at room 0, a near-perfect matching of g - F first).
+        M_2, M_3, ...).
         Its outcome is the reason it was pruned, or (F, B, M, children,
         warm), children None at a leaf."""
         a, b = self.g.edges[removed]
-        if warm is not None and len(fault) + 1 == k and warm[0][a] != b:
-            return "budget_prunes"
         fault = fault | {removed}
         rematched = self._mates_after(fault, mates, removed)
         # A leaf has nu <= floor(n/2) - 1: more free vertices than n % 2.
@@ -502,15 +493,9 @@ class _Search:
             packings.append(packing)
             grew = maximize(g, dead, packing, misses_allowed=odd)
         # The children get M_2 and each later M_(i+1) that grew near-perfect:
-        # all packings but the last, which failed. Children at room 0 are
-        # leaves or budget prunes: a near-perfect warm[0] settles those whose
-        # edge it avoids.
-        if room > 1:
-            warm = tuple(packings[:-1] or packings)
-        elif warm is not None and warm[0].count(-1) > odd:
-            warm = None
+        # all packings but the last, which failed.
         cuts[0].sort()
-        return fault, banned, mates, cuts[0], warm
+        return fault, banned, mates, cuts[0], tuple(packings[:-1] or packings)
 
     def _below(self, k: int, outcome: Union[str, tuple]
                ) -> Optional[tuple[frozenset[int], list[int], list]]:
@@ -591,11 +576,9 @@ class _Search:
             from .symmetry import automorphisms, edge_orbits, refines_to_discrete
             if self.rigid is None:
                 self.rigid = refines_to_discrete(self.g)
-                if self.rigid:
-                    self.singletons = tuple(frozenset((eid,)) for eid in range(self.g.m))
             if self.rigid:
                 # Aut(g) is the identity, and so is every Gamma <= Aut(g).
-                orbits = self.singletons
+                orbits = tuple(frozenset((eid,)) for eid in range(self.g.m))
             else:
                 generators = automorphisms(self.g, key)
                 self.stats["automorphisms"] += len(generators)

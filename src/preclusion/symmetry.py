@@ -49,7 +49,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ParameterError
-from .graphs import Graph, edge_ids
+from .graphs import Graph, check_int, edge_ids
 
 __all__ = [
     "is_automorphism",
@@ -182,10 +182,21 @@ def _is_automorphism(g: Graph, bits: list[int], perm: Sequence[int]) -> bool:
     return len(perm) == g.n and sorted(perm) == list(range(g.n)) and _maps_edges(g, bits, perm)
 
 
+def _vertex_map(perm: Iterable[int]) -> Permutation:
+    """``perm`` as a tuple of ints, else :class:`ParameterError`: a float or
+    bool entry equal to a vertex would pass for it."""
+    perm = tuple(perm)
+    for x in perm:
+        if type(x) is not int:
+            check_int(x, "vertex map entry", 0)
+    return perm
+
+
 def is_automorphism(g: Graph, perm: Sequence[int], fixed: Sequence[Iterable[int]] = ()) -> bool:
     """Whether the vertex map ``perm`` is a permutation of g's vertices that
-    maps edges to edges and every edge set in ``fixed`` onto itself."""
-    return _is_automorphism(g, _edge_bits(g, fixed), perm)
+    maps edges to edges and every edge set in ``fixed`` onto itself. An
+    entry that is no int raises :class:`ParameterError`."""
+    return _is_automorphism(g, _edge_bits(g, fixed), _vertex_map(perm))
 
 
 class _Tree:
@@ -331,17 +342,17 @@ def edge_orbits(g: Graph, generators: Iterable[Sequence[int]]) -> tuple[frozense
     """``orbits[e]``: the edges that the group generated by ``generators``
     (vertex maps, assumed to be automorphisms) maps edge e to, found by
     merging each edge with its image under each generator. A generator that
-    is not a permutation of the n vertices, or maps an edge to a non-edge,
-    raises ``ParameterError``."""
+    is not a permutation of the n vertices, has an entry that is no int, or
+    maps an edge to a non-edge, raises ``ParameterError``."""
     edge_to = g.edge_to
     parent = list(range(g.m))  # edge orbits of the generators read so far
-    for perm in generators:
+    for perm in map(_vertex_map, generators):
         if len(perm) != g.n:
-            raise ParameterError(f"vertex map {tuple(perm)} has {len(perm)} entries, not {g.n}")
+            raise ParameterError(f"vertex map {perm} has {len(perm)} entries, not {g.n}")
         if any(x < 0 or x >= g.n for x in perm):
-            raise ParameterError(f"vertex map {tuple(perm)} leaves the range 0..{g.n - 1}")
+            raise ParameterError(f"vertex map {perm} leaves the range 0..{g.n - 1}")
         if len(set(perm)) != g.n:
-            raise ParameterError(f"vertex map {tuple(perm)} is not a permutation")
+            raise ParameterError(f"vertex map {perm} is not a permutation")
         for eid, (u, v) in enumerate(g.edges):
             image = edge_to[perm[u]].get(perm[v])
             if image is None:

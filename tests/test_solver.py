@@ -210,11 +210,24 @@ def test_sizes_and_jobs_must_be_integers():
                 call(bad)
             assert type(info.value) is ParameterError, (name, bad)
     for call in (lambda: is_matching_preclusion_set(_C4, [0.5, 1.5]),
-                 lambda: EdgeSet(_C4, [True])):
+                 lambda: EdgeSet(_C4, [True]),
+                 lambda: EdgeSet(_C4, ["a"]),
+                 lambda: EdgeSet(_C4, [None])):
         with pytest.raises(ParameterError, match="^edge index must be an integer"):
             call()
     with pytest.raises(ParameterError, match="^edge endpoint must be an integer, got True"):
         Graph(3, [(0, True)])
+    # A bool side would be stored, and its JSON refused by parse_json.
+    with pytest.raises(ParameterError, match="^bipartition side must be an integer, got False"):
+        Graph(2, [(0, 1)], bipartition=[False, True])
+    with pytest.raises(ParameterError, match="^bipartition must assign 0 or 1 to each vertex"):
+        Graph(2, [(0, 1)], bipartition=[0, 2])
+    # A float entry equal to a vertex would pass for it.
+    from preclusion.symmetry import edge_orbits, is_automorphism
+    for call in (lambda: edge_orbits(_C4, [(0, 1, 2, 3.0)]),
+                 lambda: is_automorphism(_C4, (0, 1, 2, 3.0))):
+        with pytest.raises(ParameterError, match=r"^vertex map entry must be an integer, got 3\.0"):
+            call()
     q3 = hypercube(3)
     for kwargs in ({"budget": True}, {"budget": 2.5}, {"jobs": 1.5}, {"jobs": True}):
         with pytest.raises(ParameterError, match="must be an integer"):
@@ -950,6 +963,13 @@ def test_every_prune_path_pins_its_stats():
          {"nodes": 101, "budget_prunes": 1, "bound_prunes": 78, "orbit_bans": 93,
           "pendant_bans": 10, "automorphisms": 9, "deepening_rounds": 7,
           "lexmin_nodes": 29}),
+        # Room-1 nodes whose children at room 0 are budget prunes that
+        # re-match and stay near-perfect.
+        (solve(random_graph(8, 16, seed=0), MP),
+         {"nodes": 20, "budget_prunes": 7, "bound_prunes": 7, "deepening_rounds": 4}),
+        (solve(random_graph(8, 16, seed=1), mp_s(1)),
+         {"nodes": 19, "budget_prunes": 6, "bound_prunes": 7, "orbit_bans": 2,
+          "pendant_bans": 1, "automorphisms": 1, "deepening_rounds": 4}),
     ]
     for cert, counts in runs:
         assert cert.stats == {**zero, **counts}
