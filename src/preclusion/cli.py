@@ -93,23 +93,6 @@ def certificate_to_dict(cert: PreclusionCertificate) -> dict:
     return out
 
 
-def _report(args: argparse.Namespace, command: list, input_summary: dict,
-            result: dict, started: float, stats: Optional[dict] = None) -> RunReport:
-    return RunReport(
-        command=command,
-        input=input_summary,
-        result=result,
-        timing={"wall_seconds": time.perf_counter() - started},
-        stats=stats,
-        deterministic=bool(getattr(args, "deterministic", False)),
-        version=__version__,
-    )
-
-
-def _emit_report(report: RunReport) -> None:
-    sys.stdout.write(report.to_json())
-
-
 def _echo(args: argparse.Namespace, *names: str) -> list:
     """``--name value`` for each option in ``names`` given a value, for a
     report's ``command``."""
@@ -135,48 +118,35 @@ def _kind_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(parser, args) -> int:
+# Each subcommand returns its verdict (exit 0 when true, else 1) and its
+# report's fields, or None when it wrote its own output.
+
+def cmd_gen(parser, args) -> None:
     g = generate(args.family, args.params)
     sys.stdout.write(emit(g, _FMT[args.format]))
-    return 0
 
 
-def cmd_solve(parser, args) -> int:
-    started = time.perf_counter()
+def cmd_solve(parser, args) -> tuple[bool, dict]:
     g = _read_graph(args.input)
     kind = _kind_from_args(parser, args)
     cert = solve(g, kind, budget=args.budget, deterministic=args.deterministic,
                  jobs=args.jobs)
-    report = _report(
-        args,
-        command=["solve", "--mode", args.mode] + _echo(args, "s", "budget"),
-        input_summary={"n": g.n, "m": g.m, "family": None},
-        result=certificate_to_dict(cert),
-        started=started,
-        stats=cert.stats,
-    )
-    _emit_report(report)
-    return 0 if cert.feasible else 1
+    return cert.feasible, {
+        "command": ["solve", "--mode", args.mode] + _echo(args, "s", "budget"),
+        "input": {"n": g.n, "m": g.m, "family": None},
+        "result": certificate_to_dict(cert),
+        "stats": cert.stats,
+    }
 
 
-def cmd_reduce(parser, args) -> int:
-    started = time.perf_counter()
+def cmd_reduce(parser, args) -> tuple[bool, dict]:
     if args.s is not None and args.check is None:
         parser.error("--s applies only with --check")
     g = _read_graph(args.input)
     r = build_reduction(g)
-    gadget: dict = {
-        "n": r.gadget.n,
-        "m": r.gadget.m,
-        "labels": {
-            "u_prime": r.u_prime,
-            "u_dprime": r.u_dprime,
-            "v_prime": r.v_prime,
-            "v_dprime": r.v_dprime,
-            "edge_e": r.edge_e,
-            "edge_e_prime": r.edge_e_prime,
-        },
-    }
+    labels = ("u_prime", "u_dprime", "v_prime", "v_dprime", "edge_e", "edge_e_prime")
+    gadget: dict = {"n": r.gadget.n, "m": r.gadget.m,
+                    "labels": {name: getattr(r, name) for name in labels}}
     if args.format == "g6":
         gadget["graph6"] = emit(r.gadget, "graph6").strip()
     else:
@@ -186,62 +156,47 @@ def cmd_reduce(parser, args) -> int:
     if args.check is not None:
         s = 1 if args.s is None else args.s
         eq = verify_equivalence(g, args.check, s=s)
-        result["equivalence"] = {
-            "k": args.check,
-            "s": s,
-            "left": eq.left,
-            "right_ak": eq.right_ak,
-            "right_mps": eq.right_mps,
-            "agree": eq.agree,
-        }
+        result["equivalence"] = {"k": args.check, "s": s, **asdict(eq)}
         ok = eq.agree
-    report = _report(
-        args,
-        command=["reduce"] + _echo(args, "check", "s", "format"),
-        input_summary={"n": g.n, "m": g.m, "family": None},
-        result=result,
-        started=started,
-    )
-    _emit_report(report)
-    return 0 if ok else 1
+    return ok, {
+        "command": ["reduce"] + _echo(args, "check", "s", "format"),
+        "input": {"n": g.n, "m": g.m, "family": None},
+        "result": result,
+    }
 
 
-def _verify_hypercube(args) -> tuple[dict, bool]:
+def _verify_hypercube(args) -> dict:
     n, s = args.params[0], args.params[1]
     cert = verify_mps_hypercube(n, s)
     expected = 2 * n - 2
-    passed = cert.value == expected
     return {
         "n": n,
         "s": s,
         "expected": expected,
         "certificate": certificate_to_dict(cert),
-        "passed": passed,
-    }, passed
+        "passed": cert.value == expected,
+    }
 
 
-def _verify_lemma5(args) -> tuple[dict, bool]:
+def _verify_lemma5(args) -> dict:
     n = args.params[0]
     out = super_connectivity_report(n, samples=args.count, seed=args.seed)
     out["trivial_conditional_sets_leave_connected"] = verify_trivial_conditional_connected(n)
-    passed = out["passed"] and out["trivial_conditional_sets_leave_connected"]
-    return out, passed
+    out["passed"] = out["passed"] and out["trivial_conditional_sets_leave_connected"]
+    return out
 
 
-def _verify_lemma4(args) -> tuple[dict, bool]:
-    n = args.params[0]
-    out = lemma_report_conditional_sets(n, allow_slow=args.slow)
-    return out, out["passed"]
+def _verify_lemma4(args) -> dict:
+    return lemma_report_conditional_sets(args.params[0], allow_slow=args.slow)
 
 
-def _verify_corpus(suite, args) -> tuple[dict, bool]:
+def _verify_corpus(suite, args) -> dict:
     """A seeded corpus suite, passed whichever of seed and count were given,
     as parameters or as flags; it supplies its own defaults."""
     given = dict(zip(("seed", "count"), args.params))
     given.update((flag, getattr(args, flag)) for flag in ("seed", "count")
                  if getattr(args, flag) is not None)
-    out = suite(**given)
-    return out, out["passed"]
+    return suite(**given)
 
 
 # Each suite's runner, how many of its positional parameters it needs, their
@@ -257,8 +212,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(parser, args) -> int:
-    started = time.perf_counter()
+def cmd_verify(parser, args) -> tuple[bool, dict]:
     runner, needed, names, takes = _SUITES[args.suite]
     if not needed <= len(args.params) <= len(names):
         arity = needed if needed == len(names) else f"{needed} to {len(names)}"
@@ -270,24 +224,19 @@ def cmd_verify(parser, args) -> int:
             parser.error(f"suite {args.suite!r} does not take --{flag}")
         if flag in names[:len(args.params)]:
             parser.error(f"--{flag} repeats the {flag} given as a parameter")
-    result, passed = runner(args)
+    result = runner(args)
     result["suite"] = args.suite
     command = ["verify", args.suite] + [str(p) for p in args.params] + _echo(args, "seed", "count")
     if args.slow:
         command.append("--slow")
-    report = _report(
-        args,
-        command=command,
-        input_summary={"n": None, "m": None, "family": args.suite},
-        result=result,
-        started=started,
-    )
-    _emit_report(report)
-    return 0 if passed else 1
+    return result["passed"], {
+        "command": command,
+        "input": {"n": None, "m": None, "family": args.suite},
+        "result": result,
+    }
 
 
-def cmd_bench(parser, args) -> int:
-    started = time.perf_counter()
+def cmd_bench(parser, args) -> Optional[tuple[bool, dict]]:
     kind = _kind_from_args(parser, args)
     rows = []
     seconds = []
@@ -313,17 +262,13 @@ def cmd_bench(parser, args) -> int:
             sys.stdout.write(
                 f"{row['n']},{row['vertices']},{row['edges']},{row['value']},"
                 f"{row['nodes']},{t:.6f}\n")
-        return 0
-    report = _report(
-        args,
-        command=["bench", "--mode", args.mode] + _echo(args, "s", "min_n", "max_n"),
-        input_summary={"n": None, "m": None, "family": "hypercube"},
-        result={"rows": rows},
-        started=started,
-    )
-    report.timing["row_seconds"] = seconds
-    _emit_report(report)
-    return 0
+        return None
+    return True, {
+        "command": ["bench", "--mode", args.mode] + _echo(args, "s", "min_n", "max_n"),
+        "input": {"n": None, "m": None, "family": "hypercube"},
+        "result": {"rows": rows},
+        "timing": {"row_seconds": seconds},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +341,17 @@ def main(argv=None) -> int:
     try:
         # Checked here, not only in solve, so suites that never solve reject it too.
         check_int(getattr(args, "jobs", 1), "--jobs", 1)
-        return args.func(parser, args)
+        started = time.perf_counter()
+        outcome = args.func(parser, args)
+        if outcome is None:
+            return 0
+        passed, fields = outcome
+        timing = {"wall_seconds": time.perf_counter() - started, **fields.pop("timing", {})}
+        report = RunReport(timing=timing, stats=fields.pop("stats", None),
+                           deterministic=bool(getattr(args, "deterministic", False)),
+                           version=__version__, **fields)
+        sys.stdout.write(report.to_json())
+        return 0 if passed else 1
     except PreclusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

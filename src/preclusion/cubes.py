@@ -283,6 +283,7 @@ def super_connectivity_report(n: int, samples: Optional[int] = None,
 
 def verify_trivial_conditional_connected(n: int) -> bool:
     """Every trivial conditional preclusion set leaves the n-cube connected."""
+    check_int(n, "n", 3)
     g = hypercube(n)
     return all(
         check_connected_after(g, trivial_conditional_set(g, p)) for p in two_paths(g)

@@ -99,6 +99,13 @@ def parse_graph6(text: str) -> Graph:
 _HEADER_RE = re.compile(r"^\s*(\d+)\s+(\d+)\s*$")
 
 
+def _is_row(line: str) -> bool:
+    """Whether an edge-list line carries data: it is neither blank nor a
+    ``#`` comment."""
+    stripped = line.strip()
+    return bool(stripped) and not stripped.startswith("#")
+
+
 def emit_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
@@ -112,9 +119,7 @@ def parse_edge_list(text: str) -> Graph:
     for line in lines:
         offsets.append(pos)
         pos += len(line) + 1
-    rows = [
-        (i, line) for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")
-    ]
+    rows = [(i, line) for i, line in enumerate(lines) if _is_row(line)]
     if not rows:
         raise ParseError("empty edge-list input", 0)
     first_idx, first = rows[0]
@@ -199,11 +204,12 @@ _JSON_RE = re.compile(r'\s*\{\s*("|\}\s*$)')
 
 
 def detect_format(text: str) -> str:
-    """Guess the input format: a JSON object, an edge list (a leading "n m"
-    line), or otherwise graph6."""
+    """Guess the input format: a JSON object, an edge list (its first data
+    row, past blank and ``#`` comment lines, an "n m" header), or otherwise
+    graph6. No graph6 line starts with "#"."""
     if _JSON_RE.match(text):
         return "json"
     for line in text.splitlines():
-        if line.strip():
+        if _is_row(line):
             return "edge_list" if _HEADER_RE.match(line) else "graph6"
     return "graph6"

@@ -233,7 +233,16 @@ def edge_ids(graph: Graph, edges: Iterable[int]) -> frozenset[int]:
         if not graph.same_labelling(edges.graph):
             raise TagMismatchError("edge set is tagged to a different graph")
         return edges.members
-    dead = frozenset(edges)
+    try:
+        dead = frozenset(edges)
+    except TypeError:
+        if not isinstance(edges, Iterable):
+            raise
+        # An unhashable index (a list, say) is no int. Reading the indices
+        # again names it, unless a one-shot iterator has used it up.
+        for eid in edges:
+            check_int(eid, "edge index", 0)
+        raise ParameterError("edge index is not hashable") from None
     for eid in dead:
         if type(eid) is not int:
             check_int(eid, "edge index", 0)

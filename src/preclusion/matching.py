@@ -281,23 +281,20 @@ def near_perfect_matching_masks(g: Graph) -> list[int]:
     adj = g.adj
     full = (1 << n) - 1
 
-    def rec(used: int, used_count: int, edge_mask: int, size: int, skips: int) -> None:
+    def rec(used: int, edge_mask: int, size: int, skips: int) -> None:
         if size == target:
             masks.append(edge_mask)
-            return
-        if size + (n - used_count) // 2 < target:
             return
         free = ~used & full
         v = (free & -free).bit_length() - 1
         for w, eid in adj[v]:
             if not (used >> w) & 1:
-                rec(used | (1 << v) | (1 << w), used_count + 2,
-                    edge_mask | (1 << eid), size + 1, skips)
+                rec(used | (1 << v) | (1 << w), edge_mask | (1 << eid), size + 1, skips)
         if skips:
-            rec(used | (1 << v), used_count + 1, edge_mask, size, skips - 1)
+            rec(used | (1 << v), edge_mask, size, skips - 1)
 
     if target > 0:
-        rec(0, 0, 0, 0, skips_allowed)
+        rec(0, 0, 0, skips_allowed)
     elif n <= 1:
         masks.append(0)
     return masks

@@ -104,6 +104,14 @@ def test_solve_reads_graph6_stdin(capsys, monkeypatch):
     assert report_of(out)["result"]["value"] == 4
 
 
+def test_solve_reads_an_edge_list_that_opens_with_a_comment(tmp_path, capsys):
+    path = tmp_path / "c4.txt"
+    path.write_text("# C4\n4 4\n0 1\n1 2\n2 3\n0 3\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert (code, err) == (0, "")
+    assert report_of(out)["result"]["value"] == 2
+
+
 def test_solve_ak_infeasible_exits_1(tmp_path, capsys):
     path = tmp_path / "c6.txt"
     path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")

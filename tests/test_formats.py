@@ -93,6 +93,14 @@ def test_detect_format():
     assert detect_format("\n  \nGr`HOk\n") == "graph6"
 
 
+def test_detect_format_skips_comments_as_the_edge_list_parser_does():
+    # No graph6 line starts with "#" (byte 35 < 63), so a comment-led input
+    # is an edge list whose first data row is the header.
+    text = "# C4\n4 4\n0 1\n1 2\n2 3\n0 3\n"
+    assert detect_format(text) == "edge_list"
+    assert parse(detect_format(text), text) == cycle(4)
+
+
 def test_detect_format_reads_json_but_not_a_60_vertex_graph6():
     assert detect_format(emit(cycle(6), "json")) == "json"
     assert detect_format(' \n{\n  "n": 2, "edges": [[0, 1]]}') == "json"

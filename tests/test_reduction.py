@@ -312,6 +312,15 @@ def test_verify_equivalence_takes_sources_past_the_oracle_edge_limit():
     assert verify_equivalence(g, 3).agree
 
 
+def test_equivalence_oracle_builds_no_evidence(monkeypatch):
+    # mp(source) comes off the bare subset sweep, as the gadget's values do.
+    def refuse(*args, **kwargs):
+        raise AssertionError("evidence_for called")
+    monkeypatch.setattr("preclusion.solver.evidence_for", refuse)
+    assert verify_equivalence(complete_bipartite(3, 3), 2).agree
+    assert fuzz_equivalence(seed=1, count=5)["passed"]
+
+
 def test_fuzz_equivalence_small():
     out = fuzz_equivalence(seed=5, count=25)
     assert out["passed"] and out["seed"] == 5

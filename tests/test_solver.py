@@ -36,6 +36,7 @@ from preclusion import (
     trivial_mp_set,
     verify_equivalence,
     verify_mps_hypercube,
+    verify_trivial_conditional_connected,
 )
 from preclusion import random_bipartite_with_pm
 from preclusion.cubes import lemma_report_conditional_sets
@@ -196,6 +197,7 @@ INTEGER_ARGUMENTS = [
     (super_connectivity_report, "n", 3),
     (lambda x: super_connectivity_report(4, samples=x), "samples", 1),
     (lemma_report_conditional_sets, "n", 3),
+    (verify_trivial_conditional_connected, "n", 3),
     (lambda x: incident_pair_set(_C4, x), "edge_id", 0),
     (lambda x: brute_force_matching_number(_C4, x), "limit", 0),
 ]
@@ -212,7 +214,8 @@ def test_sizes_and_jobs_must_be_integers():
     for call in (lambda: is_matching_preclusion_set(_C4, [0.5, 1.5]),
                  lambda: EdgeSet(_C4, [True]),
                  lambda: EdgeSet(_C4, ["a"]),
-                 lambda: EdgeSet(_C4, [None])):
+                 lambda: EdgeSet(_C4, [None]),
+                 lambda: EdgeSet(_C4, [[0]])):
         with pytest.raises(ParameterError, match="^edge index must be an integer"):
             call()
     with pytest.raises(ParameterError, match="^edge endpoint must be an integer, got True"):
