@@ -171,7 +171,7 @@ def verify_mps_hypercube(n: int, s: int) -> PreclusionCertificate:
     """
     check_int(n, "n", 3)
     check_int(s, "s", 2)
-    if s > 2**n - 1:
+    if s.bit_length() > n:  # s > 2**n - 1, without building 2**n
         raise ParameterError(
             f"restriction level {s} outside the satisfiable range 2..{2**n - 1}")
     g = hypercube(n)

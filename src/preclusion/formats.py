@@ -205,11 +205,12 @@ _JSON_RE = re.compile(r'\s*\{\s*("|\}\s*$)')
 
 def detect_format(text: str) -> str:
     """Guess the input format: a JSON object, an edge list (its first data
-    row, past blank and ``#`` comment lines, an "n m" header), or otherwise
-    graph6. No graph6 line starts with "#"."""
+    row, past blank and ``#`` comment lines, an "n m" header, or no data row
+    but a comment), or otherwise graph6. No graph6 line starts with "#"."""
     if _JSON_RE.match(text):
         return "json"
     for line in text.splitlines():
         if _is_row(line):
             return "edge_list" if _HEADER_RE.match(line) else "graph6"
-    return "graph6"
+    # Only blank and comment lines: an edge list if there is a comment.
+    return "edge_list" if text.strip() else "graph6"

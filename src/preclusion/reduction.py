@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import ParameterError, PreconditionError, ReductionError
@@ -189,17 +190,27 @@ def _oracle_values(g: Graph, s_values: Sequence[int]
     return r, mp_value, ak_value, mps_values
 
 
+# EquivalenceCheck is frozen, so one instance per outcome serves every check.
+_OUTCOMES = {sides: EquivalenceCheck(*sides, agree=len(set(sides)) == 1)
+             for sides in product((False, True), repeat=3)}
+
+
+def _compare(r: ReductionInstance, k: int, mp_value: float, ak_value: float,
+             mps_values: Sequence[float]) -> list[EquivalenceCheck]:
+    """The equivalence at budget k for each mp_s value, read off the exact
+    values of :func:`_oracle_values`."""
+    left, budget = mp_value <= k, r.k_map(k)
+    right_ak = ak_value <= budget
+    return [_OUTCOMES[left, right_ak, mps_value <= budget] for mps_value in mps_values]
+
+
 def verify_equivalence(g: Graph, k: int, s: int = 1) -> EquivalenceCheck:
     """Check, purely with the brute-force oracle, that mp(G) <= k iff
     ak(G') <= k+1 iff mp_s(G') <= k+1 for the gadget G' of ``g``."""
     check_int(k, "k", 0)
     check_int(s, "s", 1)
-    r, mp_value, ak_value, (mps_value,) = _oracle_values(g, [s])
-    left = mp_value <= k
-    right_ak = ak_value <= r.k_map(k)
-    right_mps = mps_value <= r.k_map(k)
-    return EquivalenceCheck(left, right_ak, right_mps,
-                            agree=(left == right_ak == right_mps))
+    r, mp_value, ak_value, mps_values = _oracle_values(g, [s])
+    return _compare(r, k, mp_value, ak_value, mps_values)[0]
 
 
 def fuzz_equivalence(seed: int = 0, count: int = 200, s_values: Sequence[int] = (1, 2),
@@ -223,21 +234,18 @@ def fuzz_equivalence(seed: int = 0, count: int = 200, s_values: Sequence[int] = 
         g = random_bipartite_with_pm(t, prob, seed=rng.randrange(2**32))
         r, mp_value, ak_value, mps_values = _oracle_values(g, s_values)
         for k in range(g.m + 1):
-            left = mp_value <= k
-            right_ak = ak_value <= r.k_map(k)
-            for s, mps_value in zip(s_values, mps_values):
+            for s, eq in zip(s_values, _compare(r, k, mp_value, ak_value, mps_values)):
                 checks += 1
-                right_mps = mps_value <= r.k_map(k)
-                if not (left == right_ak == right_mps):
+                if not eq.agree:
                     disagreements.append({
                         "index": index,
                         "t": t,
                         "edges": [list(e) for e in g.edges],
                         "k": k,
                         "s": s,
-                        "left": left,
-                        "right_ak": right_ak,
-                        "right_mps": right_mps,
+                        "left": eq.left,
+                        "right_ak": eq.right_ak,
+                        "right_mps": eq.right_mps,
                     })
     return {
         "seed": seed,

@@ -29,14 +29,19 @@ is sorted by neighbour), so one set of it finds them, and a graph without
 twins, the common case, takes the plain search unchanged. Otherwise each
 twin class of c vertices gives its c - 1 adjacent transpositions, which are
 automorphisms, and the search runs on the quotient, one vertex per class,
-coloured by class size. A quotient leaf map counts when its lift,
-each class mapped member to member onto its image, passes the full test on
-g. This is exact. Every automorphism maps twin classes onto twin classes
-of the same size, so it is the lift of a quotient map times a product of
-permutations within the classes, which the transpositions generate. So
-only the number of generators changes, not the group. The colours only
-prune: without them the search would still be exact, but would try maps
-between classes of different sizes, whose lifts are no permutations.
+each class's edges weighted c times over. Each member of a class next to a
+class of c twins sees all c of them over edges of the same bits, so a
+splitter sum in the quotient is the neighbour count of g itself, per
+edge-bits class; it stays below n + 1, so the digits stay separate. A
+quotient leaf map counts when its lift, each class mapped member to member
+onto its image, passes the full test on g. This is exact. Every
+automorphism maps twin classes onto twin classes of the same size, so it is
+the lift of a quotient map times a product of permutations within the
+classes, which the transpositions generate. So only the number of
+generators changes, not the group. The weights only prune: a map between
+classes of different sizes has a lift that is no permutation, which the
+lift test rejects, and the weights put class sizes in the sums the traces
+record, so the search seldom reaches such a map.
 
 Nothing here trusts metadata such as ``Graph.bipartition``: every
 permutation returned has passed the edge-by-edge test of
@@ -201,32 +206,24 @@ def is_automorphism(g: Graph, perm: Sequence[int], fixed: Sequence[Iterable[int]
 
 class _Tree:
     """The individualization-refinement tree of a graph with weighted
-    adjacency ``nbrs``: its first path, and the search for leaves that map
-    onto its first leaf, where ``keeps(perm)`` tells whether a leaf map is
-    an automorphism. Levels count individualized vertices. With ``colours``
-    the tree starts from one cell per vertex colour, in colour order, so its
-    leaf maps keep colours."""
+    adjacency ``nbrs``, started from the unit partition: its first path, and
+    the search for leaves that map onto its first leaf, where
+    ``keeps(perm)`` tells whether a leaf map is an automorphism. Levels
+    count individualized vertices. Each splitter sum must spell neighbour
+    counts per edge-bits class in digits below the weights' base n + 1, as
+    g's weights do, and so do the twin quotient's: their class sizes count
+    g's neighbours, at most n - 1."""
 
-    def __init__(self, nbrs: list, keeps: Callable[[Permutation], bool],
-                 colours: Optional[Sequence[int]] = None):
+    def __init__(self, nbrs: list, keeps: Callable[[Permutation], bool]):
         n = len(nbrs)
         self.nbrs = nbrs
         self.keeps = keeps
         self.cells: list[list[int]] = []         # target cell at each level of the first path
         self.partitions: list[Partition] = []    # partition at each level
         self.traces: list[list] = []             # trace one level further down
-        if colours is None:
-            partition = ([list(range(n))], [0] * n)
-        else:
-            by_colour: dict[int, list[int]] = {}
-            for v, colour in enumerate(colours):
-                by_colour.setdefault(colour, []).append(v)
-            partition = ([by_colour[colour] for colour in sorted(by_colour)], [0] * n)
-            for c, cell in enumerate(partition[0]):
-                for v in cell:
-                    partition[1][v] = c
+        partition = ([list(range(n))], [0] * n)
         # No other tree to compare this trace with.
-        _refine(nbrs, *partition, list(range(len(partition[0]))))
+        _refine(nbrs, *partition, [0])
         while len(partition[0]) < n:
             cell = _target_cell(partition[0])
             self.cells.append(cell)
@@ -235,21 +232,19 @@ class _Tree:
             self.traces.append(trace)
         self.first_leaf = partition[1]
 
-    def _child(self, partition: Partition, v: int, level: int) -> Optional[Partition]:
-        """The refined partition after individualizing ``v`` at ``level``,
-        or None when its trace differs from the first path's."""
-        child, trace = _individualize(self.nbrs, partition, v)
-        return child if trace == self.traces[level] else None
-
-    def _leaf_map(self, partition: Partition, level: int) -> Optional[Permutation]:
-        """The checked map from the first leaf to a leaf below ``partition``."""
+    def _leaf_map(self, partition: Partition, v: int, level: int) -> Optional[Permutation]:
+        """The checked map from the first leaf to a leaf below ``partition``
+        with ``v`` individualized at ``level``, or None when no such leaf
+        keeps the first path's traces and gives an automorphism."""
+        partition, trace = _individualize(self.nbrs, partition, v)
+        if trace != self.traces[level]:
+            return None
         cells = partition[0]
-        if level == len(self.cells):
+        if level + 1 == len(self.cells):
             perm = tuple(cells[c][0] for c in self.first_leaf)
             return perm if self.keeps(perm) else None
         for u in _target_cell(cells):
-            child = self._child(partition, u, level)
-            perm = None if child is None else self._leaf_map(child, level + 1)
+            perm = self._leaf_map(partition, u, level + 1)
             if perm is not None:
                 return perm
         return None
@@ -265,8 +260,7 @@ class _Tree:
             for w in others:
                 if _root(parent, w) == _root(parent, first):
                     continue
-                child = self._child(self.partitions[level], w, level)
-                perm = None if child is None else self._leaf_map(child, level + 1)
+                perm = self._leaf_map(self.partitions[level], w, level)
                 if perm is None:
                     continue
                 found.append(perm)
@@ -289,9 +283,11 @@ def _twin_generators(g: Graph, bits: list[int], nbrs: list) -> list[Permutation]
         for v in members:
             class_of[v] = c
     # A class's first member sees every member of each class next to it,
-    # over edges of one weight; the quotient keeps one of them per class.
-    quotient = [tuple((class_of[w], weight) for w, weight in nbrs[v] if first[class_of[w]] == w)
-                for v in first]
+    # over edges of one weight; the quotient keeps one of them per class,
+    # times the size of class c: each member of that class sees all of c.
+    quotient = [tuple((class_of[w], weight * len(classes[c]))
+                      for w, weight in nbrs[v] if first[class_of[w]] == w)
+                for c, v in enumerate(first)]
 
     def lift(quotient_perm: Permutation) -> Permutation:
         perm = [-1] * g.n
@@ -300,8 +296,7 @@ def _twin_generators(g: Graph, bits: list[int], nbrs: list) -> list[Permutation]
                 perm[v] = w
         return tuple(perm)
 
-    tree = _Tree(quotient, lambda quotient_perm: _is_automorphism(g, bits, lift(quotient_perm)),
-                 [len(members) for members in classes])
+    tree = _Tree(quotient, lambda quotient_perm: _is_automorphism(g, bits, lift(quotient_perm)))
     found = [lift(quotient_perm) for quotient_perm in tree.generators()]
     for members in classes:
         for v, w in zip(members, members[1:]):

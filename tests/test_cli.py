@@ -112,6 +112,14 @@ def test_solve_reads_an_edge_list_that_opens_with_a_comment(tmp_path, capsys):
     assert report_of(out)["result"]["value"] == 2
 
 
+def test_solve_on_comments_alone_reports_an_empty_edge_list(tmp_path, capsys):
+    path = tmp_path / "comments.txt"
+    path.write_text("# nothing\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert (code, out) == (2, "")
+    assert "empty edge-list input" in err
+
+
 def test_solve_ak_infeasible_exits_1(tmp_path, capsys):
     path = tmp_path / "c6.txt"
     path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n")

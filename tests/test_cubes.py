@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -143,8 +144,20 @@ def test_verify_mps_hypercube_range_errors():
         verify_mps_hypercube(2, 2)
     with pytest.raises(ParameterError):
         verify_mps_hypercube(3, 1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"satisfiable range 2\.\.7"):
         verify_mps_hypercube(3, 8)  # s+1 > 2^3 is unsatisfiable
+
+
+def test_verify_mps_hypercube_checks_the_cap_before_building_2_to_the_n():
+    # 2**n - 1 alone would take n / 8 bytes, 12.5 MB here.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            verify_mps_hypercube(10**8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_star_plus_padding_counterexample():

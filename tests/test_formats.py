@@ -101,6 +101,19 @@ def test_detect_format_skips_comments_as_the_edge_list_parser_does():
     assert parse(detect_format(text), text) == cycle(4)
 
 
+def test_detect_format_reads_comments_alone_as_an_empty_edge_list():
+    # Comment lines are the edge list's own, so input of nothing else is
+    # an edge list without data; blank input stays empty graph6.
+    for text in ("# nothing\n", "\n# a\n  # b\n\n"):
+        assert detect_format(text) == "edge_list"
+        with pytest.raises(ParseError, match="empty edge-list input"):
+            parse(detect_format(text), text)
+    for text in ("", "\n  \n"):
+        assert detect_format(text) == "graph6"
+        with pytest.raises(ParseError, match="empty graph6 input"):
+            parse(detect_format(text), text)
+
+
 def test_detect_format_reads_json_but_not_a_60_vertex_graph6():
     assert detect_format(emit(cycle(6), "json")) == "json"
     assert detect_format(' \n{\n  "n": 2, "edges": [[0, 1]]}') == "json"

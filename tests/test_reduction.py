@@ -321,6 +321,27 @@ def test_equivalence_oracle_builds_no_evidence(monkeypatch):
     assert fuzz_equivalence(seed=1, count=5)["passed"]
 
 
+def test_a_disagreement_is_reported_with_its_sides(monkeypatch):
+    # A wrong ak value for the gadget, ak = mp + 2 in place of mp + 1, must
+    # show up as a disagreement at k = mp in both checks.
+    from preclusion import reduction
+    oracle = reduction._oracle_values
+
+    def off_by_one(g, s_values):
+        r, mp_value, ak_value, mps_values = oracle(g, s_values)
+        return r, mp_value, ak_value + 1, mps_values
+
+    monkeypatch.setattr(reduction, "_oracle_values", off_by_one)
+    eq = verify_equivalence(k2(), 1)
+    assert (eq.left, eq.right_ak, eq.right_mps, eq.agree) == (True, False, True, False)
+    out = fuzz_equivalence(seed=5, count=3, s_values=(1,))
+    assert not out["passed"] and out["disagreements"]
+    for entry in out["disagreements"]:
+        assert list(entry) == ["index", "t", "edges", "k", "s", "left", "right_ak",
+                               "right_mps"]
+        assert (entry["left"], entry["right_ak"], entry["right_mps"]) == (True, False, True)
+
+
 def test_fuzz_equivalence_small():
     out = fuzz_equivalence(seed=5, count=25)
     assert out["passed"] and out["seed"] == 5

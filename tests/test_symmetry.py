@@ -380,12 +380,15 @@ def _has_twins(g):
 
 def _twin_graphs():
     """Every graph with twins in a seeded corpus with n <= 7, K_{3,3},
-    K_{2,4}, the star K_{1,5}, the empty graph on 5 vertices, and a path
-    with two pendant twins at each end."""
+    K_{2,4}, the star K_{1,5}, the empty graph on 5 vertices, a path with
+    two pendant twins at each end, and the double broom: an edge with two
+    pendant twins at one end and three at the other, whose quotient, a path
+    on four vertices, is symmetric when class sizes are ignored."""
     corpus = [g for g in random_corpus(120, 511, n_choices=(4, 5, 6, 7)) if _has_twins(g)]
     pendant_twins = Graph(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
+    double_broom = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
     return corpus + [complete_bipartite(3, 3), complete_bipartite(2, 4),
-                     complete_bipartite(1, 5), Graph(5, []), pendant_twins]
+                     complete_bipartite(1, 5), Graph(5, []), pendant_twins, double_broom]
 
 
 def _plain_generators(g, fixed=()):
@@ -398,8 +401,9 @@ def _plain_generators(g, fixed=()):
 def test_twin_quotient_spans_the_whole_group(monkeypatch):
     # Against brute force: the group the generators span is every
     # permutation that passes is_automorphism, on graphs with twins. The
-    # class-size colours keep the quotient search from trying a map between
-    # classes of different sizes, whose lift is no permutation.
+    # class sizes in the quotient's edge weights keep the quotient search
+    # from trying a map between classes of different sizes, whose lift is no
+    # permutation.
     rng = random.Random(512)
     check = symmetry._is_automorphism
     tried = []

@@ -43,6 +43,7 @@ WORKLOADS = [*DEFAULT_SEEDS, "cli"]
 INPUTS = {
     "c4.txt": "4 4\n0 1\n1 2\n2 3\n0 3\n",
     "c4-comment.txt": "# C4\n4 4\n0 1\n1 2\n2 3\n0 3\n",
+    "comments.txt": "# nothing\n",
     "c5.txt": "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
     "c6.txt": "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n",
     "k33.txt": "6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
@@ -83,6 +84,7 @@ INVOCATIONS = [
     "solve q3.txt --mode mps",
     "solve c5.txt --mode ak",
     "solve short.g6 --mode mp",
+    "solve comments.txt --mode mp",
     "bench --mode mp --s 2",
     "bench --min-n 4 --max-n 3",
     "reduce c4.txt --s 2",
