@@ -66,6 +66,8 @@ def two_paths(g: Graph) -> Iterator[TwoPath]:
 
 
 def _check_two_path(g: Graph, p: TwoPath) -> None:
+    for x in (p.u, p.w, p.v):
+        check_int(x, "2-path vertex", 0)
     if p.u == p.v:
         raise ParameterError("2-path endpoints must differ")
     if not (g.has_edge(p.u, p.w) and g.has_edge(p.w, p.v)):

@@ -78,10 +78,15 @@ class Graph:
         self.n = n
         normalized: list[tuple[int, int]] = []
         edge_to: list[dict[int, int]] = [{} for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            # _endpoints inlined, its checks asked only off the plain-int
+            # path: calling it on every edge made building Q4 about 10%
+            # slower (18 us against 16 us on one x86 core).
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ParameterError(f"edge {edge!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
-                # Asked only off the plain-int path: two calls on every edge
-                # cost about 5% of a small fuzz_equivalence instance.
                 check_int(u, "edge endpoint", 0)
                 check_int(v, "edge endpoint", 0)
             if not (0 <= u < n and 0 <= v < n):
@@ -183,7 +188,9 @@ class EdgeSet:
 
     @classmethod
     def from_pairs(cls, graph: Graph, pairs: Iterable[tuple[int, int]]) -> "EdgeSet":
-        return cls(graph, (graph.edge_id(u, v) for u, v in pairs))
+        """The edges of ``graph`` with the endpoint ``pairs``, each read as
+        :class:`Graph` reads an edge."""
+        return cls(graph, (graph.edge_id(*_endpoints(pair)) for pair in pairs))
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.graph.edges[eid] for eid in self.ids)
@@ -213,6 +220,19 @@ class EdgeSet:
 
     def __repr__(self) -> str:
         return f"EdgeSet({list(self.ids)})"
+
+
+def _endpoints(edge) -> tuple[int, int]:
+    """The endpoints of the edge argument ``edge``, each an int >= 0, else
+    :class:`ParameterError`."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise ParameterError(f"edge {edge!r} is not a pair of vertices") from None
+    if type(u) is not int or type(v) is not int:
+        check_int(u, "edge endpoint", 0)
+        check_int(v, "edge endpoint", 0)
+    return u, v
 
 
 def check_int(value: int, name: str, least: int) -> None:

@@ -357,10 +357,11 @@ class _Search:
 
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
-        self.has_side = kind.has_side_condition
         self.floor = kind.component_floor(g.n)
-        # Pendant bans (module docstring) need a floor of 2.
-        self.pendant = self.floor >= 2
+        # The side rule and pendant bans (module docstring) act under a floor
+        # of 2: mp_s(s) with s >= 1, and ak with n >= 2, as on any graph with
+        # an edge, the only graphs the search steps on.
+        self.has_side = self.floor >= 2
         # The orbit gate, in nodes: the size of a perfect matching.
         self.gate = g.n // 2
         self.mates = maximum_matching_mates(g)
@@ -431,24 +432,30 @@ class _Search:
             return "side_prunes"
         if leaf:
             return fault, banned, rematched, None, None
-        # Pendant bans (module docstring): only the ends of the edge just
-        # deleted can have one live edge left.
-        if self.pendant:
-            pendant = set()
-            for x in (a, b):
-                last = -1
-                for _, eid in self.g.adj[x]:
-                    if eid not in fault:
-                        if last != -1:
-                            break
-                        last = eid
-                else:
-                    if last not in banned:
-                        pendant.add(last)
+        # Only the ends of the edge just deleted can have one live edge left.
+        if self.has_side:
+            pendant = self._pendant(fault, banned, (a, b))
             if pendant:
                 self.stats["pendant_bans"] += len(pendant)
                 banned = banned | pendant
         return self._pack(fault, banned, rematched, k - len(fault), warm, [], [], set(fault))
+
+    def _pendant(self, fault: frozenset[int], banned: frozenset[int],
+                 ends: Iterable[int]) -> set[int]:
+        """Pendant bans (module docstring): the live edge, not in ``banned``,
+        of each vertex of ``ends`` that has one live edge left in g - fault."""
+        pendant = set()
+        for x in ends:
+            last = -1
+            for _, eid in self.g.adj[x]:
+                if eid not in fault:
+                    if last != -1:
+                        break
+                    last = eid
+            else:
+                if last != -1 and last not in banned:
+                    pendant.add(last)
+        return pendant
 
     def _pack(self, fault: frozenset[int], banned: frozenset[int], mates: list[int], room: int,
               warm: Optional[tuple[list[int], ...]], packings: list[list[int]],
@@ -542,8 +549,8 @@ class _Search:
         None. Every round reads the root's pendant bans, the edges of g's
         degree-1 vertices, and one packing."""
         stats = self.stats
-        pendant = frozenset(nbrs[0][1] for nbrs in self.g.adj
-                            if len(nbrs) == 1) if self.pendant else frozenset()
+        pendant = frozenset(self._pendant(frozenset(), frozenset(), range(self.g.n))
+                            if self.has_side else ())
         packing = ([], [], set())
         for k in range(cap + 1):
             stats["deepening_rounds"] += 1

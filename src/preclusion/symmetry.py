@@ -18,9 +18,11 @@ splitter, which suffices because the partition it starts from is equitable.
 The first path of the search tree individualizes the first vertex of the
 first smallest non-singleton cell until every cell is a singleton; then,
 from the deepest level up, each other vertex of a level's cell that is not
-yet in the first vertex's orbit gets a search of its subtree, pruned by
-comparing traces with the first path's, for a leaf whose map from the first
-leaf is an automorphism. This finds generators of the whole group.
+yet in the first vertex's orbit gets a depth first search of its subtree,
+with an explicit stack rather than recursion, so the depth is bounded by
+memory, not by the recursion limit. It is pruned by comparing traces with
+the first path's and stops at the first leaf whose map from the first leaf
+is an automorphism. This finds generators of the whole group.
 
 Twins, two non-adjacent vertices with the same neighbours over edges of the
 same bits, cannot be told apart by refinement, so the search would
@@ -51,7 +53,7 @@ permutation returned has passed the edge-by-edge test of
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError
 from .graphs import Graph, check_int, edge_ids
@@ -204,69 +206,58 @@ def is_automorphism(g: Graph, perm: Sequence[int], fixed: Sequence[Iterable[int]
     return _is_automorphism(g, _edge_bits(g, fixed), _vertex_map(perm))
 
 
-class _Tree:
-    """The individualization-refinement tree of a graph with weighted
-    adjacency ``nbrs``, started from the unit partition: its first path, and
-    the search for leaves that map onto its first leaf, where
-    ``keeps(perm)`` tells whether a leaf map is an automorphism. Levels
-    count individualized vertices. Each splitter sum must spell neighbour
-    counts per edge-bits class in digits below the weights' base n + 1, as
-    g's weights do, and so do the twin quotient's: their class sizes count
-    g's neighbours, at most n - 1."""
-
-    def __init__(self, nbrs: list, keeps: Callable[[Permutation], bool]):
-        n = len(nbrs)
-        self.nbrs = nbrs
-        self.keeps = keeps
-        self.cells: list[list[int]] = []         # target cell at each level of the first path
-        self.partitions: list[Partition] = []    # partition at each level
-        self.traces: list[list] = []             # trace one level further down
-        partition = ([list(range(n))], [0] * n)
-        # No other tree to compare this trace with.
-        _refine(nbrs, *partition, [0])
-        while len(partition[0]) < n:
-            cell = _target_cell(partition[0])
-            self.cells.append(cell)
-            self.partitions.append(partition)
-            partition, trace = _individualize(nbrs, partition, cell[0])
-            self.traces.append(trace)
-        self.first_leaf = partition[1]
-
-    def _leaf_map(self, partition: Partition, v: int, level: int) -> Optional[Permutation]:
-        """The checked map from the first leaf to a leaf below ``partition``
-        with ``v`` individualized at ``level``, or None when no such leaf
-        keeps the first path's traces and gives an automorphism."""
-        partition, trace = _individualize(self.nbrs, partition, v)
-        if trace != self.traces[level]:
-            return None
-        cells = partition[0]
-        if level + 1 == len(self.cells):
-            perm = tuple(cells[c][0] for c in self.first_leaf)
-            return perm if self.keeps(perm) else None
-        for u in _target_cell(cells):
-            perm = self._leaf_map(partition, u, level + 1)
-            if perm is not None:
-                return perm
-        return None
-
-    def generators(self) -> list[Permutation]:
-        """From the deepest level up, one search per vertex of the level's
-        cell that the generators found so far do not map the first vertex
-        to; each success is a generator."""
-        parent = list(range(len(self.nbrs)))  # vertex orbits of the generators found
-        found: list[Permutation] = []
-        for level in reversed(range(len(self.cells))):
-            first, *others = self.cells[level]
-            for w in others:
-                if _root(parent, w) == _root(parent, first):
+def _generators(nbrs: list, keeps: Callable[[Permutation], bool]) -> list[Permutation]:
+    """Generators of the group of the graph with weighted adjacency
+    ``nbrs``, from its individualization-refinement tree started at the
+    unit partition, where ``keeps(perm)`` tells whether a leaf map is an
+    automorphism. Levels count individualized vertices. From the deepest
+    level of the first path up, each vertex of the level's cell that the
+    generators found so far do not map the first vertex to gets a depth
+    first search of its subtree, in cell order, for a leaf that keeps the
+    first path's traces and whose map from the first leaf ``keeps``
+    accepts; each success is a generator. Each splitter sum must spell
+    neighbour counts per edge-bits class in digits below the weights' base
+    n + 1, as g's weights do, and so do the twin quotient's: their class
+    sizes count g's neighbours, at most n - 1."""
+    n = len(nbrs)
+    partition = ([list(range(n))], [0] * n)
+    # No other tree to compare this trace with.
+    _refine(nbrs, *partition, [0])
+    path = []  # (partition, target cell, trace one level down) at each level
+    while len(partition[0]) < n:
+        cell = _target_cell(partition[0])
+        child, trace = _individualize(nbrs, partition, cell[0])
+        path.append((partition, cell, trace))
+        partition = child
+    first_leaf = partition[1]
+    parent = list(range(n))  # vertex orbits of the generators found
+    found: list[Permutation] = []
+    for level in reversed(range(len(path))):
+        start, (first, *others), _ = path[level]
+        for w in others:
+            if _root(parent, w) == _root(parent, first):
+                continue
+            # (partition, level, the vertices of its target cell left to try)
+            stack = [(start, level, iter((w,)))]
+            while stack:
+                partition, depth, left = stack[-1]
+                v = next(left, None)
+                if v is None:
+                    stack.pop()
                     continue
-                perm = self._leaf_map(self.partitions[level], w, level)
-                if perm is None:
+                partition, trace = _individualize(nbrs, partition, v)
+                if trace != path[depth][2]:
                     continue
-                found.append(perm)
-                for v, image in enumerate(perm):
-                    _merge(parent, v, image)
-        return found
+                if depth + 1 < len(path):
+                    stack.append((partition, depth + 1, iter(_target_cell(partition[0]))))
+                    continue
+                perm = tuple(partition[0][c][0] for c in first_leaf)
+                if keeps(perm):
+                    found.append(perm)
+                    for u, image in enumerate(perm):
+                        _merge(parent, u, image)
+                    break
+    return found
 
 
 def _twin_generators(g: Graph, bits: list[int], nbrs: list) -> list[Permutation]:
@@ -296,8 +287,8 @@ def _twin_generators(g: Graph, bits: list[int], nbrs: list) -> list[Permutation]
                 perm[v] = w
         return tuple(perm)
 
-    tree = _Tree(quotient, lambda quotient_perm: _is_automorphism(g, bits, lift(quotient_perm)))
-    found = [lift(quotient_perm) for quotient_perm in tree.generators()]
+    found = [lift(perm) for perm in _generators(
+        quotient, lambda perm: _is_automorphism(g, bits, lift(perm)))]
     for members in classes:
         for v, w in zip(members, members[1:]):
             perm = list(range(g.n))
@@ -316,7 +307,7 @@ def automorphisms(g: Graph, fixed: Sequence[Iterable[int]] = ()) -> list[Permuta
     bits = _edge_bits(g, fixed)
     nbrs = _weighted_adjacency(g, bits)
     if len(set(nbrs)) == g.n:
-        return _Tree(nbrs, partial(_maps_edges, g, bits)).generators()
+        return _generators(nbrs, partial(_maps_edges, g, bits))
     return _twin_generators(g, bits, nbrs)
 
 

@@ -36,6 +36,23 @@ def test_graph_rejects_self_loops_and_duplicates():
         Graph(2, [(0, 5)])
 
 
+def test_an_edge_must_be_a_pair_of_integer_vertices():
+    # An edge that is no pair does not escape as a bare unpacking error, and
+    # a float or bool endpoint equal to a vertex does not pass for it.
+    c4 = cycle(4)
+    for call, message in (
+            (lambda: Graph(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair of vertices"),
+            (lambda: Graph(3, [5]), "edge 5 is not a pair of vertices"),
+            (lambda: EdgeSet.from_pairs(c4, [(0,)]), "edge (0,) is not a pair of vertices"),
+            (lambda: EdgeSet.from_pairs(c4, [5]), "edge 5 is not a pair of vertices"),
+            (lambda: EdgeSet.from_pairs(c4, [(0, 1.0)]), "edge endpoint must be an integer, got 1.0"),
+            (lambda: EdgeSet.from_pairs(c4, [(True, 2)]), "edge endpoint must be an integer, got True")):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+    assert EdgeSet.from_pairs(c4, [[0, 1], (3, 2)]) == EdgeSet(c4, [0, 2])
+
+
 def test_edge_lookups_reject_vertices_out_of_range():
     # -1 must not reach the last vertex's neighbours.
     for g in (hypercube(3), petersen()):

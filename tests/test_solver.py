@@ -14,6 +14,7 @@ from preclusion import (
     OracleLimitError,
     ParameterError,
     PreconditionError,
+    TwoPath,
     backward_extract,
     brute_force_matching_number,
     brute_force_solve,
@@ -33,6 +34,7 @@ from preclusion import (
     solve,
     star_plus_padding_counterexample,
     super_connectivity_report,
+    trivial_conditional_set,
     trivial_mp_set,
     verify_equivalence,
     verify_mps_hypercube,
@@ -157,7 +159,7 @@ def test_precluding_subsets_rejects_a_negative_size():
             list(precluding_subsets(g, [2, -1]))
 
 
-_C4, _K22 = cycle(4), complete_bipartite(2, 2)
+_C4, _K22, _Q3 = cycle(4), complete_bipartite(2, 2), hypercube(3)
 _GADGET = build_reduction(_C4)
 
 # One row per integer argument of the library: (call, argument name, least value).
@@ -199,6 +201,9 @@ INTEGER_ARGUMENTS = [
     (lemma_report_conditional_sets, "n", 3),
     (verify_trivial_conditional_connected, "n", 3),
     (lambda x: incident_pair_set(_C4, x), "edge_id", 0),
+    (lambda x: trivial_conditional_set(_Q3, TwoPath(x, 1, 3)), "2-path vertex", 0),
+    (lambda x: trivial_conditional_set(_Q3, TwoPath(0, x, 3)), "2-path vertex", 0),
+    (lambda x: trivial_conditional_set(_Q3, TwoPath(0, 1, x)), "2-path vertex", 0),
     (lambda x: brute_force_matching_number(_C4, x), "limit", 0),
 ]
 
@@ -801,13 +806,7 @@ def test_pendant_bans_change_only_stats(monkeypatch):
                 continue
             for deterministic in (False, True):
                 runs.append((g, kind, deterministic, solve(g, kind, deterministic=deterministic)))
-    init = _Search.__init__
-
-    def without_pendant_bans(self, g, kind):
-        init(self, g, kind)
-        self.pendant = False
-
-    monkeypatch.setattr(_Search, "__init__", without_pendant_bans)
+    monkeypatch.setattr(_Search, "_pendant", lambda self, fault, banned, ends: set())
     banning = 0
     for g, kind, deterministic, cert in runs:
         plain = solve(g, kind, deterministic=deterministic)

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import random
-from itertools import permutations
+import sys
+from itertools import combinations, permutations
 
 import pytest
 
@@ -68,6 +71,29 @@ def test_automorphisms_span_the_whole_group():
             assert all(is_automorphism(h, p) for p in generators)
             assert group_order(h.n, generators) == order, h.edges
     assert automorphisms(frucht()) == []
+
+
+def test_a_deep_first_path_needs_no_recursion():
+    # 60 disjoint copies of K4: the first path individualizes about 180
+    # vertices, one level each, far past the recursion limit set here.
+    g = Graph(240, [(4 * c + i, 4 * c + j) for c in range(60) for i, j in combinations(range(4), 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        generators = automorphisms(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(generators) == 239
+    assert all(is_automorphism(g, p) for p in generators)
+
+
+def test_no_function_in_symmetry_calls_itself():
+    for node in ast.walk(ast.parse(inspect.getsource(symmetry))):
+        if isinstance(node, ast.FunctionDef):
+            called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                      for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and isinstance(call.func, (ast.Name, ast.Attribute))}
+            assert node.name not in called, node.name
 
 
 def test_trivial_and_disconnected_groups():
@@ -395,7 +421,7 @@ def _plain_generators(g, fixed=()):
     """The search on g itself, twins and all."""
     bits = symmetry._edge_bits(g, fixed)
     keeps = lambda perm: symmetry._maps_edges(g, bits, perm)
-    return symmetry._Tree(symmetry._weighted_adjacency(g, bits), keeps).generators()
+    return symmetry._generators(symmetry._weighted_adjacency(g, bits), keeps)
 
 
 def test_twin_quotient_spans_the_whole_group(monkeypatch):

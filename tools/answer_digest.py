@@ -13,8 +13,8 @@ process, and diff the output. Each instance runs once, in list order. A
 certificate contributes its value, reason, note, witness ids, evidence and
 sorted ``stats``; a suite (``fuzz_equivalence``, the hypercube lemma) its
 report dict. With no arguments it covers ``hypercube`` seeds 1-6,
-``random`` seeds 1-3, ``oracle`` seed 1 and ``cli``, about 20 s on one x86
-core.
+``random`` seeds 1-3, ``oracle`` seed 1, ``cli`` and ``symmetry``, about
+20 s on one x86 core.
 
 The ``cli`` entry takes no seed. It runs each invocation in ``INVOCATIONS``
 through ``preclusion.cli.main`` in this process, with stdout and stderr
@@ -22,6 +22,13 @@ captured and ``SystemExit`` caught, and prints one sha256 per invocation
 over its output (a report without its ``timing``), its exit code and its
 stderr. Input files are written to a temporary directory; none is read from
 stdin.
+
+The ``symmetry`` entry takes no seed either. It prints one sha256 over the
+generators that ``symmetry.automorphisms(g, fixed)`` returns and the
+``edge_orbits`` they generate, on a fixed corpus (``symmetry_cases``): Q3-Q5,
+Petersen, K_{4,4}, K_{3,5}, K_{1,5} and 30 seeded random graphs on 6-14
+vertices, some with twins, each with no fixed sets and with three seeded
+(F, B) pairs. It runs in under 2 s.
 """
 
 from __future__ import annotations
@@ -32,12 +39,13 @@ import hashlib
 import importlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 DEFAULT_SEEDS = {"hypercube": range(1, 7), "random": range(1, 4), "oracle": range(1, 2)}
-WORKLOADS = [*DEFAULT_SEEDS, "cli"]
+WORKLOADS = [*DEFAULT_SEEDS, "cli", "symmetry"]
 
 # The input files of the ``cli`` entry, by name.
 INPUTS = {
@@ -146,10 +154,42 @@ def cli_digests(lib):
             yield line, code, h.hexdigest()
 
 
+def symmetry_cases(lib):
+    """(name, graph, fixed edge sets) for the ``symmetry`` entry."""
+    graphs = [("Q3", lib.hypercube(3)), ("Q4", lib.hypercube(4)), ("Q5", lib.hypercube(5)),
+              ("Petersen", lib.petersen()), ("K44", lib.complete_bipartite(4, 4)),
+              ("K35", lib.complete_bipartite(3, 5)), ("K15", lib.complete_bipartite(1, 5))]
+    rng = random.Random(26)
+    for seed in range(30):
+        n = rng.randint(6, 14)
+        m = rng.randint(n // 2, 2 * n)  # the sparse ones have twins
+        graphs.append((f"random({n}, {m}, {seed})", lib.random_graph(n, m, seed)))
+    for name, g in graphs:
+        yield name, g, ()
+        for _ in range(3):
+            fault = rng.sample(range(g.m), rng.randint(0, min(2, g.m)))
+            rest = sorted(set(range(g.m)) - set(fault))
+            yield name, g, (sorted(fault), sorted(rng.sample(rest, rng.randint(0, min(3, len(rest))))))
+
+
+def symmetry_digest(lib) -> tuple[int, str]:
+    """The number of cases and one sha256 over each case's generators and
+    edge orbits."""
+    symmetry = importlib.import_module(lib.__name__ + ".symmetry")
+    h = hashlib.sha256()
+    cases = 0
+    for name, g, fixed in symmetry_cases(lib):
+        generators = symmetry.automorphisms(g, fixed)
+        orbits = [sorted(orbit) for orbit in symmetry.edge_orbits(g, generators)]
+        h.update(f"{name}\t{json.dumps([fixed, generators, orbits])}\n".encode())
+        cases += 1
+    return cases, h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        help="one workload (default: all four)")
+                        help="one workload (default: all five)")
     parser.add_argument("--seeds", type=int, nargs="+",
                         help="seeds to run (default: per workload, see above)")
     args = parser.parse_args(argv)
@@ -162,12 +202,16 @@ def main(argv=None) -> int:
     if root / "src" not in Path(lib.__file__).resolve().parents:
         parser.error(f"preclusion was imported from {lib.__file__}, not from {root / 'src'}")
 
-    if args.workload == "cli" and args.seeds:
-        parser.error("the cli entry takes no seeds")
+    if args.workload in ("cli", "symmetry") and args.seeds:
+        parser.error(f"the {args.workload} entry takes no seeds")
     for workload in [args.workload] if args.workload else WORKLOADS:
         if workload == "cli":
             for line, code, sha in cli_digests(lib):
                 print(f"cli {line} exit={code} sha256={sha}", flush=True)
+            continue
+        if workload == "symmetry":
+            cases, sha = symmetry_digest(lib)
+            print(f"symmetry cases={cases} sha256={sha}", flush=True)
             continue
         builders = importlib.import_module("workloads").BUILDERS
         for seed in args.seeds or DEFAULT_SEEDS[workload]:
