@@ -132,21 +132,23 @@ def parse_edge_list(text: str) -> Graph:
             f"header promises {m} edges but {len(rows) - 1} edge lines follow",
             offsets[first_idx],
         )
-    edges = []
-    for idx, line in rows[1:]:
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError(f"bad edge line {line!r}", offsets[idx])
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in {line!r}", offsets[idx])
-        if u == v:
-            raise ParseError(f"self-loop in {line!r}", offsets[idx])
-        edges.append((u, v))
+    at = offsets[first_idx]
+
+    def pairs():
+        # Graph checks n, then reads each edge once in order, so a
+        # ParameterError belongs to the header or to the line last yielded.
+        nonlocal at
+        for idx, line in rows[1:]:
+            at = offsets[idx]
+            parts = line.split()
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ParseError(f"bad edge line {line!r}", at)
+            yield int(parts[0]), int(parts[1])
+
     try:
-        return Graph(n, edges)
+        return Graph(n, pairs())
     except ParameterError as exc:
-        raise ParseError(str(exc), offsets[first_idx]) from exc
+        raise ParseError(str(exc), at) from exc
 
 
 def emit_json(g: Graph) -> str:
@@ -167,15 +169,8 @@ def parse_json(text: str) -> Graph:
         raise ParseError("JSON nested too deeply", 0) from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ParseError("JSON graph needs 'n' and 'edges' keys", 0)
-    n, sides = payload["n"], payload.get("bipartition")
     try:
-        edges = [tuple(e) for e in payload["edges"]]
-        # bool is a subclass of int, so JSON true would pass for vertex 1.
-        for value in (n, *(x for edge in edges for x in edge), *(sides or ())):
-            if type(value) is not int:
-                raise ParameterError(
-                    f"n, edge endpoints and sides must be integers, not {type(value).__name__}")
-        return Graph(n, edges, bipartition=sides)
+        return Graph(payload["n"], payload["edges"], bipartition=payload.get("bipartition"))
     except (ParameterError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid JSON graph: {exc}", 0) from exc
 

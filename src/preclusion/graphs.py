@@ -62,6 +62,10 @@ class Graph:
     each neighbour of ``v`` to the edge's index, for lookup, and iterating
     it gives edge order. Neither may be mutated. ``bipartition``, when
     present, maps each vertex to side 0 or 1 and every edge must cross sides.
+
+    The constructor checks ``n`` first and then reads each edge once, in
+    order, raising :class:`ParameterError` at the first bad one, so a caller
+    that passes a generator knows which edge it last yielded.
     """
 
     __slots__ = ("n", "edges", "adj", "edge_to", "bipartition")
@@ -79,16 +83,7 @@ class Graph:
         normalized: list[tuple[int, int]] = []
         edge_to: list[dict[int, int]] = [{} for _ in range(n)]
         for edge in edges:
-            # _endpoints inlined, its checks asked only off the plain-int
-            # path: calling it on every edge made building Q4 about 10%
-            # slower (18 us against 16 us on one x86 core).
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ParameterError(f"edge {edge!r} is not a pair of vertices") from None
-            if type(u) is not int or type(v) is not int:
-                check_int(u, "edge endpoint", 0)
-                check_int(v, "edge endpoint", 0)
+            u, v = _endpoints(edge)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -383,6 +378,9 @@ def random_bipartite_with_pm(t: int, extra_edge_prob: float, seed: int) -> Graph
     fixed seed.
     """
     check_int(t, "t", 1)
+    # A bool would pass for 0 or 1, and a string escape as a bare TypeError.
+    if isinstance(extra_edge_prob, bool) or not isinstance(extra_edge_prob, (int, float)):
+        raise ParameterError(f"probability must be a real number, got {extra_edge_prob!r}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ParameterError(f"probability must lie in [0, 1], got {extra_edge_prob}")
     _check_size(2 * t, t)

@@ -129,16 +129,39 @@ def test_detect_format_reads_json_but_not_a_60_vertex_graph6():
     assert sixty.startswith("{?") and detect_format(sixty) == "graph6"
 
 
-@pytest.mark.parametrize("text", [
-    '{"n": true, "edges": []}',
-    '{"n": 2, "edges": [[false, true]]}',
-    '{"n": 2, "edges": [[0, 1]], "bipartition": [0, true]}',
-    '{"n": 2, "edges": [[0, 1]], "bipartition": [0, 1.0]}',
-])
-def test_json_values_must_be_integers(text):
-    # Python reads JSON true as 1, so a bool would pass for a vertex.
-    with pytest.raises(ParseError, match="must be integers"):
+# Each value error in a JSON graph, with the message Graph gives it.
+JSON_VALUE_ERRORS = [
+    ('{"n": true, "edges": []}', "n must be an integer, got True"),
+    ('{"n": 2, "edges": [[false, true]]}', "edge endpoint must be an integer, got False"),
+    ('{"n": 2, "edges": [[0, 1]], "bipartition": [0, true]}',
+     "bipartition side must be an integer, got True"),
+    ('{"n": 2, "edges": [[0, 1]], "bipartition": [0, 1.0]}',
+     "bipartition side must be an integer, got 1.0"),
+    ('{"n": 2, "edges": [[0, "1"]]}', "edge endpoint must be an integer, got '1'"),
+    ('{"n": 2, "edges": [null]}', "edge None is not a pair of vertices"),
+    ('{"n": 3, "edges": [[0, 1, 2]]}', "edge [0, 1, 2] is not a pair of vertices"),
+]
+
+
+@pytest.mark.parametrize("text, message", JSON_VALUE_ERRORS,
+                         ids=[text for text, _ in JSON_VALUE_ERRORS])
+def test_json_values_must_be_integers(text, message):
+    # Python reads JSON true as 1, so a bool would pass for a vertex; the
+    # error names the argument and the value.
+    with pytest.raises(ParseError) as err:
         parse("json", text)
+    assert str(err.value) == f"invalid JSON graph: {message} (byte offset 0)"
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("3 2\n0 1\n1 0\n", 8),
+    ("# c\n3 2\n0 1\n1 0\n", 12),
+    ("6 3\n2 4\n2 4\n2\n", 8),  # the duplicate comes before the bad line
+])
+def test_a_duplicate_edge_reports_its_own_line(text, offset):
+    with pytest.raises(ParseError, match="^duplicate edge") as err:
+        parse("edge_list", text)
+    assert err.value.offset == offset
 
 
 def _fuzz_text(rng, seeds, alphabet):
@@ -172,7 +195,8 @@ def test_parsers_raise_only_package_errors():
     graphs = [cycle(5), petersen(), hypercube(3), path(1), complete_bipartite(2, 3)]
     seeds = {fmt: [emit(g, fmt) for g in graphs] for fmt in alphabets}
     fixed = [("json", "[" * 100_000), ("json", '{"n": 1e400, "edges": []}'),
-             ("json", '{"n": 3, "edges": [[0, 1.5]]}')]
+             ("json", '{"n": 3, "edges": [[0, 1.5]]}'),
+             ("edge_list", "2 1\n0 \u00b2\n")]  # a digit to str.isdigit, not to int
     rng = random.Random(415)
     cases = fixed + [(fmt, _fuzz_text(rng, seeds[fmt], alphabets[fmt]))
                      for fmt in rng.choices(list(alphabets), k=10_000)]

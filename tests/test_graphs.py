@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -278,38 +279,56 @@ def _is_lower_bound(test) -> bool:
                for a, op, b in zip(terms, test.ops, terms[1:]))
 
 
-class _IntegerRules(ast.NodeVisitor):
-    """Where a ParameterError states the integer rule: its wording in the
-    message, or a lower bound on a name as the condition that raises it."""
+class _ParameterErrors(ast.NodeVisitor):
+    """Each ParameterError a module raises, as (function, line, message
+    text), and each lower bound on a name that raises one."""
 
     def __init__(self, module: str):
-        self.where, self.found = module, []
+        self.where, self.raises, self.bounds = module, [], []
 
     def visit_FunctionDef(self, node):
         outer, self.where = self.where, f"{self.where}.{node.name}"
-        if self.where != "graphs.check_int":
-            self.generic_visit(node)
+        self.generic_visit(node)
         self.where = outer
 
     def visit_If(self, node):
         if _is_lower_bound(node.test) and any(map(_raises_parameter_error, node.body)):
-            self.found.append(f"{self.where}:{node.lineno} checks a lower bound by hand")
+            self.bounds.append((self.where, node.lineno))
         self.generic_visit(node)
 
     def visit_Raise(self, node):
-        text = "".join(c.value for c in ast.walk(node)
-                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
-        if _raises_parameter_error(node) and ("must be >=" in text
-                                              or "must be an integer" in text):
-            self.found.append(f"{self.where}:{node.lineno} words the integer rule")
+        if _raises_parameter_error(node):
+            text = "".join(c.value for c in ast.walk(node)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            self.raises.append((self.where, node.lineno, text))
+
+
+def _parameter_errors() -> _ParameterErrors:
+    """The ParameterError raises and lower bounds of every module in the
+    package, in one visitor."""
+    errors = _ParameterErrors("")
+    for source in sorted((Path(__file__).resolve().parent.parent / "src" / "preclusion")
+                         .glob("*.py")):
+        errors.where = source.stem
+        errors.visit(ast.parse(source.read_text(), str(source)))
+    return errors
 
 
 def test_check_int_is_the_one_integer_rule():
-    # graphs.check_int states the rule once; an upper bound after it stays.
-    found = []
-    for source in sorted((Path(__file__).resolve().parent.parent / "src" / "preclusion")
-                         .glob("*.py")):
-        rules = _IntegerRules(source.stem)
-        rules.visit(ast.parse(source.read_text(), str(source)))
-        found += rules.found
+    # graphs.check_int states the rule once, in any wording; an upper bound
+    # after it stays.
+    errors = _parameter_errors()
+    found = [f"{where}:{line} checks a lower bound by hand"
+             for where, line in errors.bounds if where != "graphs.check_int"]
+    found += [f"{where}:{line} words the integer rule"
+              for where, line, text in errors.raises
+              if where != "graphs.check_int"
+              and re.search(r"must be (>=|an integer|integers)", text)]
     assert found == []
+
+
+def test_endpoints_is_the_one_edge_reader():
+    # Graph, EdgeSet.from_pairs and the parsers read an edge through
+    # graphs._endpoints, so no other function words its rule.
+    assert [where for where, _, text in _parameter_errors().raises
+            if "is not a pair of vertices" in text] == ["graphs._endpoints"]

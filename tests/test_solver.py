@@ -208,6 +208,14 @@ INTEGER_ARGUMENTS = [
 ]
 
 
+def test_a_probability_must_be_a_real_number():
+    # A bool would pass for 0 or 1, and a string or None escape as a bare
+    # TypeError from the range test.
+    for bad in (True, False, "0.5", None, 0.5j):
+        with pytest.raises(ParameterError, match="^probability must be a real number"):
+            random_bipartite_with_pm(2, bad, 1)
+
+
 def test_sizes_and_jobs_must_be_integers():
     # A bool is an int to Python, but no size, count, level or index; a float
     # is none either, and neither may answer or escape as a bare TypeError.

@@ -13,8 +13,8 @@ process, and diff the output. Each instance runs once, in list order. A
 certificate contributes its value, reason, note, witness ids, evidence and
 sorted ``stats``; a suite (``fuzz_equivalence``, the hypercube lemma) its
 report dict. With no arguments it covers ``hypercube`` seeds 1-6,
-``random`` seeds 1-3, ``oracle`` seed 1, ``cli`` and ``symmetry``, about
-20 s on one x86 core.
+``random`` seeds 1-3, ``oracle`` seed 1, ``cli``, ``symmetry`` and
+``formats``, about 20 s on one x86 core.
 
 The ``cli`` entry takes no seed. It runs each invocation in ``INVOCATIONS``
 through ``preclusion.cli.main`` in this process, with stdout and stderr
@@ -29,6 +29,14 @@ generators that ``symmetry.automorphisms(g, fixed)`` returns and the
 Petersen, K_{4,4}, K_{3,5}, K_{1,5} and 30 seeded random graphs on 6-14
 vertices, some with twins, each with no fixed sets and with three seeded
 (F, B) pairs. It runs in under 2 s.
+
+The ``formats`` entry takes no seed. It reads each input of ``FORMAT_CASES``
+(valid graphs, and one input per kind of input error) through
+``parse(detect_format(text), text)`` and prints one line per case:
+``outcome`` is a sha256 over the detected format and the graph (order,
+edges, bipartition) or the error's type and byte offset, and ``message`` a
+sha256 over the error message (empty for a graph). A change to an error's
+wording moves only ``message``.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import tempfile
 from pathlib import Path
 
 DEFAULT_SEEDS = {"hypercube": range(1, 7), "random": range(1, 4), "oracle": range(1, 2)}
-WORKLOADS = [*DEFAULT_SEEDS, "cli", "symmetry"]
+WORKLOADS = [*DEFAULT_SEEDS, "cli", "symmetry", "formats"]
 
 # The input files of the ``cli`` entry, by name.
 INPUTS = {
@@ -101,6 +109,63 @@ INVOCATIONS = [
     "verify chain --jobs 0",
     "gen hypercube 0",
 ]
+
+
+# The inputs of the ``formats`` entry, by name: valid graphs first, then one
+# input per kind of error.
+FORMAT_CASES = {
+    "q3 edge list": "8 12\n0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n",
+    "q3 graph6": "Gr`HOk\n",
+    "petersen graph6": "IheA@GUAo\n",
+    "c5 graph6 with header": ">>graph6<<Dhc\n",
+    "k23 json with bipartition": '{"n": 5, "edges": [[0, 2], [0, 3], [0, 4], [1, 2], [1, 3],'
+                                 ' [1, 4]], "bipartition": [0, 0, 1, 1, 1]}',
+    "empty json": '{"n": 0, "edges": []}',
+    "empty edge list": "0 0\n",
+    "empty graph6": "?\n",
+    "comment-led edge list": "# C4\n\n4 4\n0 1\n# mid\n1 2\n2 3\n0 3\n",
+    "json edge of three": '{"n": 3, "edges": [[0, 1, 2]]}',
+    "json edge of one": '{"n": 3, "edges": [[0]]}',
+    "json scalar edge": '{"n": 3, "edges": [5]}',
+    "json null edge": '{"n": 2, "edges": [null]}',
+    "json bool endpoint": '{"n": 2, "edges": [[false, true]]}',
+    "json float endpoint": '{"n": 3, "edges": [[0, 1.5]]}',
+    "json string endpoint": '{"n": 2, "edges": [[0, "1"]]}',
+    "json null endpoint": '{"n": 2, "edges": [[0, null]]}',
+    "json bool order": '{"n": true, "edges": []}',
+    "json float order": '{"n": 2.0, "edges": []}',
+    "json null order": '{"n": null, "edges": []}',
+    "json negative order": '{"n": -1, "edges": []}',
+    "json bool side": '{"n": 2, "edges": [[0, 1]], "bipartition": [0, true]}',
+    "json float side": '{"n": 2, "edges": [[0, 1]], "bipartition": [0, 1.0]}',
+    "json side out of range": '{"n": 2, "edges": [[0, 1]], "bipartition": [0, 2]}',
+    "json edge within a side": '{"n": 2, "edges": [[0, 1]], "bipartition": [0, 0]}',
+    "json edges not a list": '{"n": 2, "edges": 5}',
+    "json order above the limit": '{"n": 258048, "edges": []}',
+    "json out of range": '{"n": 2, "edges": [[0, 5]]}',
+    "json self-loop": '{"n": 2, "edges": [[1, 1]]}',
+    "json duplicate": '{"n": 3, "edges": [[0, 1], [1, 0]]}',
+    "json missing keys": '{"n": 2}',
+    "json syntax": '{"n": 2, "edges": [}',
+    "json nested deeply": '{"n": ' + "[" * 100_000,
+    "edge list order above the limit": "258048 0\n",
+    "edge list out of range": "2 1\n0 9\n",
+    "edge list self-loop": "2 1\n1 1\n",
+    "edge list duplicate": "3 2\n0 1\n1 0\n",
+    "edge list duplicate after a comment": "# c\n3 2\n0 1\n1 0\n",
+    "edge list duplicate before a bad line": "6 3\n2 4\n2 4\n2\n",
+    "edge list bad line": "3 1\n0 x\n",
+    "edge list bad header": "3\n0 1\n",
+    "edge list count mismatch": "2 2\n0 1\n",
+    "edge list superscript digit": "2 1\n0 \u00b2\n",
+    "comments alone": "# nothing\n",
+    "graph6 bad byte": "D\x1f\n",
+    "graph6 truncated body": "D\n",
+    "graph6 truncated size prefix": "~??\n",
+    "graph6 trailing bytes": "Dhc??\n",
+    "graph6 order above the limit": "~~??????\n",
+    "empty input": "",
+}
 
 
 def canonical(result) -> str:
@@ -186,10 +251,26 @@ def symmetry_digest(lib) -> tuple[int, str]:
     return cases, h.hexdigest()
 
 
+def format_digests(lib):
+    """(case, outcome sha256, message sha256) for each of FORMAT_CASES."""
+    formats = importlib.import_module(lib.__name__ + ".formats")
+    for name, text in FORMAT_CASES.items():
+        fmt = formats.detect_format(text)
+        try:
+            g = formats.parse(fmt, text)
+        except Exception as exc:  # a bare Python error is an outcome too
+            outcome = f"{type(exc).__name__} {getattr(exc, 'offset', None)}"
+            message = str(exc)
+        else:
+            outcome, message = f"{g.n} {g.edges} {g.bipartition}", ""
+        yield (name, hashlib.sha256(f"{fmt}\0{outcome}".encode()).hexdigest(),
+               hashlib.sha256(message.encode()).hexdigest())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
-                        help="one workload (default: all five)")
+                        help="one workload (default: all six)")
     parser.add_argument("--seeds", type=int, nargs="+",
                         help="seeds to run (default: per workload, see above)")
     args = parser.parse_args(argv)
@@ -202,7 +283,7 @@ def main(argv=None) -> int:
     if root / "src" not in Path(lib.__file__).resolve().parents:
         parser.error(f"preclusion was imported from {lib.__file__}, not from {root / 'src'}")
 
-    if args.workload in ("cli", "symmetry") and args.seeds:
+    if args.workload in ("cli", "symmetry", "formats") and args.seeds:
         parser.error(f"the {args.workload} entry takes no seeds")
     for workload in [args.workload] if args.workload else WORKLOADS:
         if workload == "cli":
@@ -212,6 +293,10 @@ def main(argv=None) -> int:
         if workload == "symmetry":
             cases, sha = symmetry_digest(lib)
             print(f"symmetry cases={cases} sha256={sha}", flush=True)
+            continue
+        if workload == "formats":
+            for name, outcome, message in format_digests(lib):
+                print(f"formats {name}: outcome={outcome} message={message}", flush=True)
             continue
         builders = importlib.import_module("workloads").BUILDERS
         for seed in args.seeds or DEFAULT_SEEDS[workload]:
