@@ -106,6 +106,15 @@ def _is_row(line: str) -> bool:
     return bool(stripped) and not stripped.startswith("#")
 
 
+def _decimal(token: str, at: int) -> int:
+    """``int(token)`` for a run of decimal digits; a run past CPython's
+    integer-string limit (4,300 digits by default) is a ParseError at ``at``."""
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"integer of {len(token)} digits is too long", at) from exc
+
+
 def emit_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
@@ -126,13 +135,10 @@ def parse_edge_list(text: str) -> Graph:
     header = _HEADER_RE.match(first)
     if not header:
         raise ParseError("edge list must start with a 'n m' header line", offsets[first_idx])
-    n, m = int(header.group(1)), int(header.group(2))
-    if len(rows) - 1 != m:
-        raise ParseError(
-            f"header promises {m} edges but {len(rows) - 1} edge lines follow",
-            offsets[first_idx],
-        )
     at = offsets[first_idx]
+    n, m = _decimal(header.group(1), at), _decimal(header.group(2), at)
+    if len(rows) - 1 != m:
+        raise ParseError(f"header promises {m} edges but {len(rows) - 1} edge lines follow", at)
 
     def pairs():
         # Graph checks n, then reads each edge once in order, so a
@@ -143,7 +149,7 @@ def parse_edge_list(text: str) -> Graph:
             parts = line.split()
             if len(parts) != 2 or not all(p.isdecimal() for p in parts):
                 raise ParseError(f"bad edge line {line!r}", at)
-            yield int(parts[0]), int(parts[1])
+            yield _decimal(parts[0], at), _decimal(parts[1], at)
 
     try:
         return Graph(n, pairs())
@@ -167,6 +173,8 @@ def parse_json(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply", 0) from exc
+    except ValueError as exc:  # an integer past CPython's integer-string limit
+        raise ParseError(f"invalid JSON graph: {exc}", 0) from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ParseError("JSON graph needs 'n' and 'edges' keys", 0)
     try:

@@ -124,9 +124,11 @@ so its ``orbit_bans`` and ``automorphisms`` counts.
 
 ``brute_force_solve`` is the independent oracle: it enumerates edge subsets
 in increasing cardinality and tests each against an exhaustive list of the
-graph's near-perfect matchings, never calling the optimizer's matching
-search. The gadget oracle and the hypercube lemma run the same sweep; only
-the side rule, ``ProblemKind.side_holds``, is shared with the optimizer.
+graph's near-perfect matchings, so its value and witness never touch the
+optimizer's matching search. The gadget oracle and the hypercube lemma run
+the same sweep. Only the side rule, ``ProblemKind.side_holds``, is shared
+with the optimizer, and the Edmonds engine, which ``evidence_for`` runs to
+recompute the evidence's nu.
 """
 
 from __future__ import annotations
@@ -331,9 +333,9 @@ def _none_within(g: Graph, kind: ProblemKind, cap: Optional[int],
 
 
 def evidence_for(g: Graph, witness: Iterable[int]) -> Evidence:
-    """The evidence for ``witness``, recomputed from scratch: the
-    independent route that ``brute_force_solve`` takes and that checks the
-    evidence ``solve`` reads off its own search."""
+    """The evidence for ``witness``, recomputed from scratch: the route that
+    ``brute_force_solve`` takes and that checks the evidence ``solve`` reads
+    off its own search. Its nu comes from the optimizer's Edmonds engine."""
     dead = edge_ids(g, witness)
     rep = components(g, without=dead)
     return Evidence(
@@ -641,7 +643,8 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
     (it must be an int >= 1) but has no effect: the search is single-threaded.
     """
     check_int(jobs, "jobs", 1)
-    _check_size_cap(budget, "budget")
+    if budget is not None:
+        check_int(budget, "budget", 0)
     kind.check_order(g.n)
 
     search = _Search(g, kind)
@@ -663,11 +666,6 @@ def solve(g: Graph, kind: ProblemKind, budget: Optional[int] = None,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _check_size_cap(cap: Optional[int], name: str) -> None:
-    if cap is not None:
-        check_int(cap, name, 0)
-
-
 def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(checked, combo)`` for every edge subset whose deletion hits each
     mask of ``near_perfect_matching_masks``, size by size in ``sizes`` and
@@ -676,7 +674,7 @@ def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tu
     that is no integer >= 0 raises :class:`ParameterError`."""
     sizes = tuple(sizes)
     for size in sizes:
-        _check_size_cap(size, "size")
+        check_int(size, "size", 0)
     masks = near_perfect_matching_masks(g)
     if not masks:
         return
@@ -691,19 +689,16 @@ def precluding_subsets(g: Graph, sizes: Iterable[int]) -> Iterator[tuple[int, tu
                 yield checked, combo
 
 
-def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind],
-                             max_size: Optional[int] = None
+def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind]
                              ) -> dict[ProblemKind, tuple[int, tuple[int, ...]]]:
-    """One sweep over the sizes 0..max_size mapping each kind to its first
+    """One sweep over the sizes 0..m mapping each kind to its first
     qualifying ``(checked, combo)``, the lex-min optimum; a kind with none
     is left out. The pending kinds share one ``components`` report."""
-    _check_size_cap(max_size, "max_size")
     pending = list(dict.fromkeys(kinds))
     for kind in pending:
         kind.check_order(g.n)
     found: dict[ProblemKind, tuple[int, tuple[int, ...]]] = {}
-    cap = g.m if max_size is None else min(max_size, g.m)
-    for checked, combo in precluding_subsets(g, range(cap + 1)):
+    for checked, combo in precluding_subsets(g, range(g.m + 1)):
         rep = None
         for kind in list(pending):
             if kind.has_side_condition:
@@ -718,22 +713,20 @@ def first_qualifying_subsets(g: Graph, kinds: Sequence[ProblemKind],
     return found
 
 
-def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMIT,
-                      max_size: Optional[int] = None) -> PreclusionCertificate:
+def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMIT
+                      ) -> PreclusionCertificate:
     """Independent oracle: enumerate edge subsets in increasing cardinality
     (lexicographic within a cardinality) and return the first one whose
     deletion kills every near-perfect matching and meets the side
     conditions. Witnesses are therefore always the lexicographically
-    smallest optimum.
+    smallest optimum; the evidence comes from :func:`evidence_for`.
     """
     kind.check_order(g.n)
-    _check_size_cap(max_size, "max_size")
     check_int(limit, "limit", 0)
     if g.m > limit:
         raise OracleLimitError(f"{g.m} edges exceeds the oracle limit of {limit}")
-    cap = g.m if max_size is None else min(max_size, g.m)
     connected = kind != AK or AK.side_holds(components(g))
-    hit = first_qualifying_subsets(g, [kind], cap).get(kind) if connected else None
+    hit = first_qualifying_subsets(g, [kind]).get(kind) if connected else None
     if hit is None:
         # Asked only now, so a feasible answer enumerates the near-perfect
         # matchings once, inside the sweep.
@@ -741,8 +734,7 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
         if trivial is not None:
             return trivial
         # g has a near-perfect matching, so the sweep tested every subset
-        checked = sum(math.comb(g.m, size) for size in range(cap + 1))
-        return _none_within(g, kind, max_size, {"subsets_checked": checked})
+        return _none_within(g, kind, None, {"subsets_checked": 2 ** g.m})
     checked, combo = hit
     edge_set = EdgeSet(g, combo)
     return PreclusionCertificate(kind, len(combo), edge_set, evidence_for(g, edge_set),
@@ -753,19 +745,18 @@ def brute_force_solve(g: Graph, kind: ProblemKind, limit: int = ORACLE_EDGE_LIMI
 # Monotone-chain verification suite
 # ---------------------------------------------------------------------------
 
-def chain_suite(seed: int = 0, count: int = 100, max_s: int = 3) -> dict:
-    """Check mp <= mp_1 <= ... <= mp_max_s (INFINITY on top) on ``count``
+def chain_suite(seed: int = 0, count: int = 100) -> dict:
+    """Check mp <= mp_1 <= mp_2 <= mp_3 (INFINITY on top) on ``count``
     seeded random even-order graphs within the oracle edge limit; the report
-    carries its seed."""
+    carries its seed and the chain's top level, ``max_s`` = 3."""
     check_int(count, "count", 1)
-    check_int(max_s, "max_s", 0)
     rng = random.Random(seed)
     violations = []
     for index in range(count):
         n = rng.choice((4, 6, 8))
         m = rng.randint(0, min(ORACLE_EDGE_LIMIT, n * (n - 1) // 2))
         g = random_graph(n, m, seed=rng.randrange(2**32))
-        values = [solve(g, mp_s(s)).value for s in range(max_s + 1)]
+        values = [solve(g, mp_s(s)).value for s in range(4)]
         if any(a > b for a, b in zip(values, values[1:])):
             violations.append({
                 "index": index,
@@ -776,7 +767,7 @@ def chain_suite(seed: int = 0, count: int = 100, max_s: int = 3) -> dict:
     return {
         "seed": seed,
         "instances": count,
-        "max_s": max_s,
+        "max_s": 3,
         "violations": violations,
         "passed": not violations,
     }

@@ -496,6 +496,16 @@ def test_unreadable_input_paths_exit_2(tmp_path, capsys, subcommand, target):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {path}")
 
 
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # int() refuses more than 4,300 digits with a bare ValueError, which
+    # main would report as an internal error (exit 4).
+    path = tmp_path / "long.txt"
+    path.write_text("1" * 5000 + " 0\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert code == 2 and out == ""
+    assert "integer of 5000 digits is too long (byte offset 0)" in err
+
+
 def test_non_ascii_input_exits_2(tmp_path, capsys):
     path = tmp_path / "accent.txt"
     path.write_bytes("2 1\n0 1 é\n".encode("utf-8"))

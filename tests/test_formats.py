@@ -164,6 +164,25 @@ def test_a_duplicate_edge_reports_its_own_line(text, offset):
     assert err.value.offset == offset
 
 
+# More digits than CPython's integer-string limit (4,300 by default), which
+# int() and json.loads refuse with a bare ValueError.
+_LONG = "1" * 5000
+_LONG_INTEGERS = {
+    "edge list header": ("edge_list", f"{_LONG} 0\n", 0),
+    "edge list edge line": ("edge_list", f"2 1\n0 {_LONG}\n", 4),
+    "json value": ("json", f'{{"n": {_LONG}, "edges": []}}', 0),
+}
+
+
+@pytest.mark.parametrize("fmt, text, offset", _LONG_INTEGERS.values(), ids=list(_LONG_INTEGERS))
+def test_an_integer_past_the_digit_limit_is_a_parse_error(fmt, text, offset):
+    with pytest.raises(ParseError) as err:
+        parse(fmt, text)
+    assert err.value.offset == offset
+    if fmt == "json":
+        assert str(err.value).startswith("invalid JSON graph: ")
+
+
 def _fuzz_text(rng, seeds, alphabet):
     """A random string over ``alphabet``, or a valid encoding with a few
     characters replaced, inserted or deleted."""
@@ -196,7 +215,8 @@ def test_parsers_raise_only_package_errors():
     seeds = {fmt: [emit(g, fmt) for g in graphs] for fmt in alphabets}
     fixed = [("json", "[" * 100_000), ("json", '{"n": 1e400, "edges": []}'),
              ("json", '{"n": 3, "edges": [[0, 1.5]]}'),
-             ("edge_list", "2 1\n0 \u00b2\n")]  # a digit to str.isdigit, not to int
+             ("edge_list", "2 1\n0 \u00b2\n"),  # a digit to str.isdigit, not to int
+             *[(fmt, text) for fmt, text, _ in _LONG_INTEGERS.values()]]
     rng = random.Random(415)
     cases = fixed + [(fmt, _fuzz_text(rng, seeds[fmt], alphabets[fmt]))
                      for fmt in rng.choices(list(alphabets), k=10_000)]

@@ -158,6 +158,9 @@ FORMAT_CASES = {
     "edge list bad header": "3\n0 1\n",
     "edge list count mismatch": "2 2\n0 1\n",
     "edge list superscript digit": "2 1\n0 \u00b2\n",
+    "edge list header past the digit limit": "1" * 5000 + " 0\n",
+    "edge list edge past the digit limit": "2 1\n0 " + "1" * 5000 + "\n",
+    "json value past the digit limit": '{"n": ' + "1" * 5000 + ', "edges": []}',
     "comments alone": "# nothing\n",
     "graph6 bad byte": "D\x1f\n",
     "graph6 truncated body": "D\n",
