@@ -1,5 +1,7 @@
 """Command-line front end: generate graphs, run the solvers, build and check
 the reduction, and reproduce the verification suites, all with JSON reports.
+``main`` alone times a run and writes its report; a sweep over hypercubes is
+``preclusion gen hypercube N | preclusion solve ...``, one report per order.
 
 Exit codes: 0 feasible/pass, 1 infeasible or fail-with-counterexample,
 2 usage or precondition error, 4 internal error (a bug, never an answer).
@@ -19,7 +21,7 @@ from typing import Optional
 from . import __version__
 from .errors import ParameterError, ParseError, PreclusionError
 from .formats import detect_format, emit, parse
-from .graphs import FAMILIES, Graph, check_int, generate, hypercube
+from .graphs import FAMILIES, Graph, check_int, generate
 from .cubes import (
     lemma_report_conditional_sets,
     super_connectivity_report,
@@ -65,12 +67,17 @@ def _read_graph(path: str) -> Graph:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path, "r", encoding="ascii") as handle:
+            # One character per byte, with each line's own ending kept.
+            with open(path, "r", encoding="latin-1", newline="") as handle:
                 text = handle.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # stdin bytes its encoding cannot read
         raise ParseError("graph input must be ASCII text", exc.start) from exc
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if not text.isascii():
+        # Each character before the first non-ASCII one is one byte.
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError("graph input must be ASCII text", at)
     return parse(detect_format(text), text)
 
 
@@ -119,7 +126,7 @@ def _kind_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 # Each subcommand returns its verdict (exit 0 when true, else 1) and its
-# report's fields, or None when it wrote its own output.
+# report's fields, or None when it wrote its own output (``gen``).
 
 def cmd_gen(parser, args) -> None:
     g = generate(args.family, args.params)
@@ -236,41 +243,6 @@ def cmd_verify(parser, args) -> tuple[bool, dict]:
     }
 
 
-def cmd_bench(parser, args) -> Optional[tuple[bool, dict]]:
-    kind = _kind_from_args(parser, args)
-    rows = []
-    seconds = []
-    min_n = 2 if args.min_n is None else args.min_n
-    max_n = 3 if args.max_n is None else args.max_n
-    if min_n > max_n:
-        parser.error(f"--min-n {min_n} exceeds --max-n {max_n}: the sweep would be empty")
-    for n in range(min_n, max_n + 1):
-        g = hypercube(n)
-        t0 = time.perf_counter()
-        cert = solve(g, kind, deterministic=args.deterministic, jobs=args.jobs)
-        seconds.append(time.perf_counter() - t0)
-        rows.append({
-            "n": n,
-            "vertices": g.n,
-            "edges": g.m,
-            "value": _json_value(cert.value),
-            "nodes": cert.stats["nodes"] if cert.stats else None,
-        })
-    if args.csv:
-        sys.stdout.write("n,vertices,edges,value,nodes,seconds\n")
-        for row, t in zip(rows, seconds):
-            sys.stdout.write(
-                f"{row['n']},{row['vertices']},{row['edges']},{row['value']},"
-                f"{row['nodes']},{t:.6f}\n")
-        return None
-    return True, {
-        "command": ["bench", "--mode", args.mode] + _echo(args, "s", "min_n", "max_n"),
-        "input": {"n": None, "m": None, "family": "hypercube"},
-        "result": {"rows": rows},
-        "timing": {"row_seconds": seconds},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -324,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="allow the long-running lemma4 n=4 enumeration")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", parents=[run], help="time the solver over a hypercube sweep")
-    p_bench.add_argument("--mode", choices=["mp", "mps", "ak"], default="mp")
-    p_bench.add_argument("--s", type=int, default=None)
-    p_bench.add_argument("--min-n", type=int, default=None, help="default 2")
-    p_bench.add_argument("--max-n", type=int, default=None, help="default 3")
-    p_bench.add_argument("--csv", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -346,8 +310,8 @@ def main(argv=None) -> int:
         if outcome is None:
             return 0
         passed, fields = outcome
-        timing = {"wall_seconds": time.perf_counter() - started, **fields.pop("timing", {})}
-        report = RunReport(timing=timing, stats=fields.pop("stats", None),
+        report = RunReport(timing={"wall_seconds": time.perf_counter() - started},
+                           stats=fields.pop("stats", None),
                            deterministic=bool(getattr(args, "deterministic", False)),
                            version=__version__, **fields)
         sys.stdout.write(report.to_json())

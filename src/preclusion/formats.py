@@ -54,10 +54,10 @@ def emit_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
-    base = 0
+    base = len(text) - len(text.lstrip())
     if s.startswith(_GRAPH6_HEADER):
         s = s[len(_GRAPH6_HEADER):]
-        base = len(_GRAPH6_HEADER)
+        base += len(_GRAPH6_HEADER)
     if not s:
         raise ParseError("empty graph6 input", base)
     vals = []
@@ -96,7 +96,9 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-_HEADER_RE = re.compile(r"^\s*(\d+)\s+(\d+)\s*$")
+# A data row of an edge list, its "n m" header or a "u v" edge: two runs of
+# ASCII digits, with only whitespace between and around them.
+_PAIR_RE = re.compile(r"\s*([0-9]+)\s+([0-9]+)\s*")
 
 
 def _is_row(line: str) -> bool:
@@ -125,14 +127,14 @@ def parse_edge_list(text: str) -> Graph:
     lines = text.splitlines()
     offsets = []
     pos = 0
-    for line in lines:
+    for line in text.splitlines(keepends=True):  # "\r\n" ends a line too
         offsets.append(pos)
-        pos += len(line) + 1
+        pos += len(line)
     rows = [(i, line) for i, line in enumerate(lines) if _is_row(line)]
     if not rows:
         raise ParseError("empty edge-list input", 0)
     first_idx, first = rows[0]
-    header = _HEADER_RE.match(first)
+    header = _PAIR_RE.fullmatch(first)
     if not header:
         raise ParseError("edge list must start with a 'n m' header line", offsets[first_idx])
     at = offsets[first_idx]
@@ -146,10 +148,10 @@ def parse_edge_list(text: str) -> Graph:
         nonlocal at
         for idx, line in rows[1:]:
             at = offsets[idx]
-            parts = line.split()
-            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+            pair = _PAIR_RE.fullmatch(line)
+            if not pair:
                 raise ParseError(f"bad edge line {line!r}", at)
-            yield _decimal(parts[0], at), _decimal(parts[1], at)
+            yield _decimal(pair.group(1), at), _decimal(pair.group(2), at)
 
     try:
         return Graph(n, pairs())
@@ -214,6 +216,6 @@ def detect_format(text: str) -> str:
         return "json"
     for line in text.splitlines():
         if _is_row(line):
-            return "edge_list" if _HEADER_RE.match(line) else "graph6"
+            return "edge_list" if _PAIR_RE.fullmatch(line) else "graph6"
     # Only blank and comment lines: an edge list if there is a comment.
     return "edge_list" if text.strip() else "graph6"

@@ -291,7 +291,7 @@ def usage_error(capsys, *argv) -> str:
 @pytest.mark.parametrize("argv", [
     ("solve", "C4", "--mode", "mp", "--s", "3"),
     ("solve", "C4", "--mode", "ak", "--s", "3"),
-    ("bench", "--mode", "mp", "--s", "2"),
+    ("reduce", "C4", "--format", "g6", "--s", "2"),
     ("reduce", "C4", "--s", "2"),
 ])
 def test_flags_a_subcommand_would_ignore_are_usage_errors(tmp_path, capsys, argv):
@@ -345,7 +345,7 @@ def test_verify_takes_seed_and_count_as_flags_or_parameters(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("solve", "-", "--mode", "mp"),
-    ("bench",),
+    ("solve", "-", "--mode", "mps", "--s", "2"),
     ("verify", "hypercube", "3", "2"),
     ("verify", "lemma5", "3"),
     ("verify", "lemma4", "3"),
@@ -361,12 +361,8 @@ def test_reports_echo_every_flag_that_shapes_the_result(tmp_path, capsys):
     path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
     flags = ("--check", "1", "--s", "2", "--format", "g6")
     code, out, _ = run_cli(capsys, "reduce", str(path), *flags)
-    assert code == 0 and report_of(out)["command"] == ["reduce", *flags]
-    flags = ("--mode", "mps", "--s", "2", "--min-n", "3", "--max-n", "3")
-    code, out, _ = run_cli(capsys, "bench", *flags)
     report = report_of(out)
-    assert code == 0 and report["command"] == ["bench", *flags]
-    assert [row["n"] for row in report["result"]["rows"]] == [3]
+    assert code == 0 and report["command"] == ["reduce", *flags]
     validate_schema(report)
 
 
@@ -393,27 +389,31 @@ def test_verify_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_bench_json_and_csv(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--min-n", "2", "--max-n", "3")
-    assert code == 0
-    report = report_of(out)
-    rows = report["result"]["rows"]
-    assert [row["value"] for row in rows] == [2, 3]
-    assert all("seconds" not in row for row in rows)
-    assert len(report["timing"]["row_seconds"]) == len(rows)
-    # Wall-clock times live only in timing, so two runs match outside it.
-    _, again, _ = run_cli(capsys, "bench", "--min-n", "2", "--max-n", "3")
-    again = report_of(again)
-    assert {**report, "timing": None} == {**again, "timing": None}
-    validate_schema(report)
-    code, out, _ = run_cli(capsys, "bench", "--min-n", "2", "--max-n", "3", "--csv")
-    assert code == 0
-    assert out.startswith("n,vertices,edges,value,nodes,seconds")
+def test_a_hypercube_sweep_is_gen_piped_to_solve(capsys, monkeypatch):
+    # Each order's graph from gen, solved from stdin; the solve time is in
+    # the report's timing alone.
+    import io
+    rows = []
+    for n in (2, 3, 4):
+        _, graph, _ = run_cli(capsys, "gen", "hypercube", str(n))
+        reports = []
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(graph))
+            code, out, _ = run_cli(capsys, "solve", "--mode", "mps", "--s", "1",
+                                   "--deterministic")
+            assert code == (1 if n == 2 else 0)
+            reports.append(report_of(out))
+        report, again = reports
+        validate_schema(report)
+        # Wall-clock times live only in timing, so two runs match outside it.
+        assert {**report, "timing": None} == {**again, "timing": None}
+        rows.append((report["input"]["n"], report["input"]["m"],
+                     report["result"]["value"], report["stats"]["nodes"]))
+    assert rows == [(4, 4, "infinity", 5), (8, 12, 4, 16), (16, 32, 6, 101)]
 
 
-@pytest.mark.parametrize("argv", [("--min-n", "3", "--max-n", "2"), ("--min-n", "4")])
-def test_bench_empty_sweep_is_a_usage_error(capsys, argv):
-    assert "the sweep would be empty" in usage_error(capsys, "bench", *argv)
+def test_bench_is_no_subcommand(capsys):
+    assert "invalid choice: 'bench'" in usage_error(capsys, "bench")
 
 
 def test_report_round_trips_through_json(capsys):
@@ -513,3 +513,20 @@ def test_non_ascii_input_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "must be ASCII" in err
+
+
+def test_non_ascii_stdin_exits_2(capsys, monkeypatch):
+    # An Arabic-Indic one, which str.isdecimal and the \d of re accept.
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 \u0661\n"))
+    code, out, err = run_cli(capsys, "solve", "--mode", "mp")
+    assert (code, out) == (2, "")
+    assert err == "error: graph input must be ASCII text (byte offset 6)\n"
+
+
+def test_crlf_file_offsets_count_both_line_end_bytes(tmp_path, capsys):
+    path = tmp_path / "dup.txt"
+    path.write_bytes(b"3 2\r\n0 1\r\n1 0\r\n")
+    code, out, err = run_cli(capsys, "solve", str(path), "--mode", "mp")
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate edge (0, 1) (byte offset 10)\n"

@@ -157,9 +157,42 @@ def test_json_values_must_be_integers(text, message):
     ("3 2\n0 1\n1 0\n", 8),
     ("# c\n3 2\n0 1\n1 0\n", 12),
     ("6 3\n2 4\n2 4\n2\n", 8),  # the duplicate comes before the bad line
+    ("3 2\r\n0 1\r\n1 0\r\n", 10),
 ])
 def test_a_duplicate_edge_reports_its_own_line(text, offset):
     with pytest.raises(ParseError, match="^duplicate edge") as err:
+        parse("edge_list", text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("3 1\r\n\r\n0 x\r\n", 7),
+    ("# c\r\n3 1\r\n0 9\r\n", 10),
+])
+def test_crlf_line_ends_count_in_edge_list_offsets(text, offset):
+    with pytest.raises(ParseError) as err:
+        parse("edge_list", text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("  G r", 3),
+    ("\n\nG r", 3),
+    ("\t>>graph6<<D\x7f", 12),
+])
+def test_graph6_offsets_count_leading_whitespace(text, offset):
+    with pytest.raises(ParseError, match="^invalid graph6 byte") as err:
+        parse("graph6", text)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("2 1\n0 \u0661\n", 4),  # Arabic-Indic one
+    ("\u0662 1\n0 1\n", 0),
+    ("2 1\n0 \uff11\n", 4),  # full-width one
+])
+def test_edge_list_digits_are_ascii_only(text, offset):
+    with pytest.raises(ParseError) as err:
         parse("edge_list", text)
     assert err.value.offset == offset
 
