@@ -31,7 +31,6 @@ from .graphs import (
     petersen,
     random_bipartite_with_pm,
     random_graph,
-    surviving_edge_ids,
     with_bipartition,
 )
 from .formats import detect_format, emit, parse
@@ -76,12 +75,10 @@ from .cubes import (
     check_connected_after,
     compute_v_e,
     incident_pair_set,
-    incident_set,
     star_plus_padding_counterexample,
     super_connectivity_report,
     trivial_conditional_set,
     two_paths,
     verify_mps_hypercube,
-    verify_optimal_conditional_sets_trivial,
     verify_trivial_conditional_connected,
 )

@@ -57,10 +57,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
 
 def _read_graph(path: str) -> Graph:
     try:

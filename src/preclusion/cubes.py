@@ -28,18 +28,15 @@ from .solver import (
     mp_s,
     precluding_subsets,
     solve,
-    trivial_mp_set,
 )
 
 __all__ = [
     "TwoPath",
     "two_paths",
-    "incident_set",
     "incident_pair_set",
     "trivial_conditional_set",
     "compute_v_e",
     "check_connected_after",
-    "verify_optimal_conditional_sets_trivial",
     "lemma_report_conditional_sets",
     "verify_mps_hypercube",
     "star_plus_padding_counterexample",
@@ -72,10 +69,6 @@ def _check_two_path(g: Graph, p: TwoPath) -> None:
         raise ParameterError("2-path endpoints must differ")
     if not (g.has_edge(p.u, p.w) and g.has_edge(p.w, p.v)):
         raise ParameterError(f"{p} is not a 2-path of the graph")
-
-
-# I(x): every edge incident to vertex x.
-incident_set = trivial_mp_set
 
 
 def incident_pair_set(g: Graph, edge_id: int) -> EdgeSet:
@@ -150,10 +143,6 @@ def lemma_report_conditional_sets(n: int, allow_slow: bool = False) -> dict:
         "nontrivial_examples": nontrivial[:5],
         "passed": not nontrivial and conditional == len(trivial_sets),
     }
-
-
-def verify_optimal_conditional_sets_trivial(n: int, allow_slow: bool = False) -> bool:
-    return lemma_report_conditional_sets(n, allow_slow=allow_slow)["passed"]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "random_bipartite_with_pm",
     "random_graph",
     "delete_edges",
-    "surviving_edge_ids",
     "components",
     "find_bipartition",
 ]
@@ -189,12 +188,6 @@ class EdgeSet:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.graph.edges[eid] for eid in self.ids)
-
-    def union(self, other: Iterable[int]) -> "EdgeSet":
-        return EdgeSet(self.graph, self.members | edge_ids(self.graph, other))
-
-    def difference(self, other: Iterable[int]) -> "EdgeSet":
-        return EdgeSet(self.graph, self.members - edge_ids(self.graph, other))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -417,21 +410,12 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def delete_edges(g: Graph, f: Iterable[int]) -> Graph:
-    """The graph ``g - f``: same vertices, surviving edges in original order.
-
-    The new index of a surviving edge is its rank among survivors;
-    :func:`surviving_edge_ids` recovers the original indices.
-    """
+    """The graph ``g - f``: same vertices, surviving edges in original order,
+    so the new index of a surviving edge is its rank among the survivors."""
     dead = edge_ids(g, f)
     kept = [g.edges[eid] for eid in range(g.m) if eid not in dead]
     sides = g.bipartition
     return Graph(g.n, kept, bipartition=sides)
-
-
-def surviving_edge_ids(g: Graph, f: Iterable[int]) -> tuple[int, ...]:
-    """Map each edge index of ``delete_edges(g, f)`` to its index in ``g``."""
-    dead = edge_ids(g, f)
-    return tuple(eid for eid in range(g.m) if eid not in dead)
 
 
 def components(g: Graph, without: Optional[Iterable[int]] = None) -> ComponentReport:

@@ -13,7 +13,7 @@ enumerator provide independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, FrozenSet, Iterable
+from typing import Container, Iterable
 
 from .errors import OracleLimitError, ParameterError
 from .graphs import EdgeSet, Graph, check_int, edge_ids
@@ -35,10 +35,9 @@ MATCHING_ORACLE_EDGE_LIMIT = 24
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise nonadjacent edges with its saturated vertex set."""
+    """A set of pairwise nonadjacent edges and its size."""
 
     edges: EdgeSet
-    saturated: FrozenSet[int]
     size: int
 
 
@@ -53,7 +52,7 @@ def matching_from_edge_ids(g: Graph, edges: Iterable[int]) -> Matching:
             raise ParameterError(f"edges are not pairwise nonadjacent at vertex pair ({u}, {v})")
         saturated.add(u)
         saturated.add(v)
-    return Matching(EdgeSet(g, ids), frozenset(saturated), len(ids))
+    return Matching(EdgeSet(g, ids), len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +273,24 @@ def near_perfect_matching_masks(g: Graph) -> list[int]:
     An edge set F precludes all of them exactly when every returned mask
     intersects F, which is what the subset-enumeration oracle checks.
     """
-    n = g.n
-    target = n // 2
-    skips_allowed = n - 2 * target
-    masks: list[int] = []
     adj = g.adj
-    full = (1 << n) - 1
-
-    def rec(used: int, edge_mask: int, size: int, skips: int) -> None:
-        if size == target:
+    full = (1 << g.n) - 1
+    masks: list[int] = []
+    # Depth first over (used vertices, edge mask, edges left, skips left):
+    # the lowest free vertex is matched to each free neighbour in adjacency
+    # order, then skipped, so no recursion limit bounds the matching size.
+    stack = [(0, 0, g.n // 2, g.n % 2)]
+    while stack:
+        used, edge_mask, left, skips = stack.pop()
+        if not left:
             masks.append(edge_mask)
-            return
+            continue
         free = ~used & full
         v = (free & -free).bit_length() - 1
-        for w, eid in adj[v]:
-            if not (used >> w) & 1:
-                rec(used | (1 << v) | (1 << w), edge_mask | (1 << eid), size + 1, skips)
+        used |= 1 << v
         if skips:
-            rec(used | (1 << v), edge_mask, size, skips - 1)
-
-    if target > 0:
-        rec(0, 0, 0, skips_allowed)
-    elif n <= 1:
-        masks.append(0)
+            stack.append((used, edge_mask, left, skips - 1))
+        for w, eid in reversed(adj[v]):
+            if not (used >> w) & 1:
+                stack.append((used | (1 << w), edge_mask | (1 << eid), left - 1, skips))
     return masks

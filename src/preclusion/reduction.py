@@ -55,10 +55,6 @@ class ReductionInstance:
     edge_e: int         # index of u''v'' in the gadget
     edge_e_prime: int   # index of u'v' in the gadget
 
-    @property
-    def t(self) -> int:
-        return self.source.n // 2
-
     def k_map(self, k: int) -> int:
         """Budget translation of the reduction: k on the source side becomes
         k + 1 on the gadget side."""
@@ -181,8 +177,10 @@ def _oracle_values(g: Graph, s_values: Sequence[int]
     ``s_values``, all exact, from the subset sweep (one over ``g``, one over
     the gadget)."""
     r = build_reduction(g)
-    # g has a perfect matching, so deleting every edge qualifies: MP is found.
-    mp_value = len(first_qualifying_subsets(g, [MP])[MP][1])
+    # A kind that no subset qualifies for is infinite: for mp, a source whose
+    # only perfect matching is the empty one (no vertices) cannot lose it.
+    found = first_qualifying_subsets(g, [MP])
+    mp_value = len(found[MP][1]) if MP in found else INFINITY
     kinds = [AK] + [mp_s(s) for s in s_values]
     found = first_qualifying_subsets(r.gadget, kinds)
     ak_value, *mps_values = (len(found[kind][1]) if kind in found else INFINITY

@@ -172,6 +172,15 @@ def test_reduce_k2_with_check(tmp_path, capsys):
     validate_schema(report)
 
 
+def test_reduce_check_on_an_empty_source_exits_0(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    code, out, err = run_cli(capsys, "reduce", "--check", "0")
+    assert code == 0, err
+    eq = report_of(out)["result"]["equivalence"]
+    assert (eq["left"], eq["right_ak"], eq["right_mps"], eq["agree"]) == (False, False, False, True)
+
+
 def test_reduce_check_takes_s_as_given_and_rejects_bad_values(tmp_path, capsys):
     # --s 0 is checked as s = 0, which verify_equivalence rejects, not as
     # the default s = 1; a negative budget is rejected too.
@@ -419,7 +428,7 @@ def test_bench_is_no_subcommand(capsys):
 def test_report_round_trips_through_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "hypercube", "3", "2")
     assert code == 0
-    report = RunReport.from_json(out)
+    report = RunReport(**json.loads(out))
     assert report.to_json() == out
 
 

@@ -17,16 +17,15 @@ from preclusion import (
     cycle,
     hypercube,
     incident_pair_set,
-    incident_set,
     is_s_restricted_set,
     mp_s,
     solve,
     star_plus_padding_counterexample,
     super_connectivity_report,
     trivial_conditional_set,
+    trivial_mp_set,
     two_paths,
     verify_mps_hypercube,
-    verify_optimal_conditional_sets_trivial,
     verify_trivial_conditional_connected,
 )
 from preclusion.cubes import lemma_report_conditional_sets
@@ -34,7 +33,7 @@ from preclusion.cubes import lemma_report_conditional_sets
 
 def test_incident_sets():
     q3 = hypercube(3)
-    assert len(incident_set(q3, 0)) == 3
+    assert len(trivial_mp_set(q3, 0)) == 3
     for n in range(3, 9):
         q = hypercube(n)
         for eid in range(q.m):
@@ -96,7 +95,6 @@ def test_lemma4_structure_q3():
     assert report["conditional_sets"] == 24
     assert report["trivial_sets"] == 24
     assert report["passed"]
-    assert verify_optimal_conditional_sets_trivial(3)
 
 
 def test_lemma4_structure_q4_behind_flag():

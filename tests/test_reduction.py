@@ -25,7 +25,6 @@ from preclusion import (
     is_s_restricted_set,
     mp_s,
     random_bipartite_with_pm,
-    surviving_edge_ids,
     verify_equivalence,
 )
 from preclusion.matching import matching_number_excluding
@@ -41,7 +40,6 @@ def test_gadget_counts_k2():
     r = build_reduction(k2())
     assert r.gadget.n == 6
     assert r.gadget.m == 7
-    assert r.t == 1
     assert r.k_map(3) == 4
 
 
@@ -115,13 +113,10 @@ _CONSUMERS = {
     "components": (lambda r, f: components(r.source, without=f), False),
     "matching_number_excluding": (lambda r, f: matching_number_excluding(r.source, f), False),
     "delete_edges": (lambda r, f: delete_edges(r.source, f), False),
-    "surviving_edge_ids": (lambda r, f: surviving_edge_ids(r.source, f), False),
     "is_matching_preclusion_set": (lambda r, f: is_matching_preclusion_set(r.source, f), False),
     "is_s_restricted_set": (lambda r, f: is_s_restricted_set(r.source, f, 1), False),
     "is_anti_kekule_set": (lambda r, f: is_anti_kekule_set(r.source, f), False),
     "evidence_for": (lambda r, f: evidence_for(r.source, f), False),
-    "union": (lambda r, f: EdgeSet(r.source, [2]).union(f), False),
-    "difference": (lambda r, f: EdgeSet(r.source, [0, 2]).difference(f), False),
     "forward_witness": (lambda r, f: forward_witness(r, f), False),
     "backward_extract": (lambda r, f: backward_extract(r, f, k=2), True),
     "automorphisms": (lambda r, f: automorphisms(r.source, [f]), False),
@@ -242,6 +237,14 @@ def test_verify_equivalence_k2():
         left=True, right_ak=True, right_mps=True, agree=True)
     eq0 = verify_equivalence(k2(), 0)
     assert (eq0.left, eq0.right_ak, eq0.right_mps, eq0.agree) == (False, False, False, True)
+
+
+def test_verify_equivalence_on_an_empty_source():
+    # Its only matching is the empty one, which no deletion precludes, so
+    # mp is infinite, and the gadget C_4 has no qualifying set either.
+    for k in (0, 1):
+        eq = verify_equivalence(Graph(0, []), k)
+        assert (eq.left, eq.right_ak, eq.right_mps, eq.agree) == (False, False, False, True)
 
 
 def test_verify_equivalence_k33():

@@ -66,6 +66,7 @@ INPUTS = {
     "q3.txt": "8 12\n0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n",
     "petersen.g6": "IheA@GUAo\n",
     "short.g6": "abc\n",
+    "empty.txt": "0 0\n",
 }
 
 # Every subcommand and suite, each exit code and the usage errors; an
@@ -87,6 +88,7 @@ INVOCATIONS = [
     "reduce c4.txt --format g6",
     "reduce c4.txt --check 1",
     "reduce k33.txt --check 2 --s 2",
+    "reduce empty.txt --check 0",
     "verify hypercube 3 2",
     "verify lemma4 3",
     "verify lemma5 3",
