@@ -15,7 +15,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Optional
 
 from . import __version__
@@ -168,8 +167,7 @@ def cmd_reduce(parser, args) -> tuple[bool, dict]:
     }
 
 
-def _verify_hypercube(args) -> dict:
-    n, s = args.params[0], args.params[1]
+def _verify_hypercube(n: int, s: int) -> dict:
     cert = verify_mps_hypercube(n, s)
     expected = 2 * n - 2
     return {
@@ -181,59 +179,36 @@ def _verify_hypercube(args) -> dict:
     }
 
 
-def _verify_lemma5(args) -> dict:
-    n = args.params[0]
-    out = super_connectivity_report(n, samples=args.count, seed=args.seed)
+def _verify_lemma5(n: int, seed: Optional[int] = None, count: Optional[int] = None) -> dict:
+    out = super_connectivity_report(n, samples=count, seed=seed)
     out["trivial_conditional_sets_leave_connected"] = verify_trivial_conditional_connected(n)
     out["passed"] = out["passed"] and out["trivial_conditional_sets_leave_connected"]
     return out
 
 
-def _verify_lemma4(args) -> dict:
-    return lemma_report_conditional_sets(args.params[0], allow_slow=args.slow)
-
-
-def _verify_corpus(suite, args) -> dict:
-    """A seeded corpus suite, passed whichever of seed and count were given,
-    as parameters or as flags; it supplies its own defaults."""
-    given = dict(zip(("seed", "count"), args.params))
-    given.update((flag, getattr(args, flag)) for flag in ("seed", "count")
-                 if getattr(args, flag) is not None)
-    return suite(**given)
-
-
-# Each suite's runner, how many of its positional parameters it needs, their
-# names in order, and the flags it reads (every suite takes --jobs and
-# --deterministic).
+# Each suite's runner, which takes the suite's positional parameters in
+# order, how many of them it needs, and their names. A runner supplies its
+# own defaults. lemma4's runner also takes --slow, as ``allow_slow``.
 _SUITES = {
-    "hypercube": (_verify_hypercube, 2, ("n", "s"), ()),
-    "lemma5": (_verify_lemma5, 1, ("n",), ("seed", "count")),
-    "lemma4": (_verify_lemma4, 1, ("n",), ("slow",)),
-    "chain": (partial(_verify_corpus, chain_suite), 0, ("seed", "count"), ("seed", "count")),
-    "reduction-fuzz": (partial(_verify_corpus, fuzz_equivalence), 0, ("seed", "count"),
-                       ("seed", "count")),
+    "hypercube": (_verify_hypercube, 2, ("n", "s")),
+    "lemma5": (_verify_lemma5, 1, ("n", "seed", "count")),
+    "lemma4": (lemma_report_conditional_sets, 1, ("n",)),
+    "chain": (chain_suite, 0, ("seed", "count")),
+    "reduction-fuzz": (fuzz_equivalence, 0, ("seed", "count")),
 }
 
 
 def cmd_verify(parser, args) -> tuple[bool, dict]:
-    runner, needed, names, takes = _SUITES[args.suite]
+    runner, needed, names = _SUITES[args.suite]
     if not needed <= len(args.params) <= len(names):
         arity = needed if needed == len(names) else f"{needed} to {len(names)}"
         parser.error(f"suite {args.suite!r} takes {arity} parameter(s)")
-    given = [flag for flag in ("seed", "count") if getattr(args, flag) is not None]
-    given += ["slow"] if args.slow else []
-    for flag in given:
-        if flag not in takes:
-            parser.error(f"suite {args.suite!r} does not take --{flag}")
-        if flag in names[:len(args.params)]:
-            parser.error(f"--{flag} repeats the {flag} given as a parameter")
-    result = runner(args)
+    if args.slow and args.suite != "lemma4":
+        parser.error(f"suite {args.suite!r} does not take --slow")
+    result = runner(*args.params, allow_slow=True) if args.slow else runner(*args.params)
     result["suite"] = args.suite
-    command = ["verify", args.suite] + [str(p) for p in args.params] + _echo(args, "seed", "count")
-    if args.slow:
-        command.append("--slow")
     return result["passed"], {
-        "command": command,
+        "command": ["verify", args.suite] + [str(p) for p in args.params] + ["--slow"] * args.slow,
         "input": {"n": None, "m": None, "family": args.suite},
         "result": result,
     }
@@ -285,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[run], help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(_SUITES))
-    p_verify.add_argument("params", nargs="*", type=int)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--count", type=int, default=None)
+    p_verify.add_argument("params", nargs="*", type=int,
+                          help="hypercube N S; lemma4 N; lemma5 N [SEED [COUNT]]; "
+                               "chain, reduction-fuzz [SEED [COUNT]]")
     p_verify.add_argument("--slow", action="store_true",
                           help="allow the long-running lemma4 n=4 enumeration")
     p_verify.set_defaults(func=cmd_verify)

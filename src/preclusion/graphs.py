@@ -8,8 +8,9 @@ adjacency to iterate, in neighbour order; ``Graph.edge_to`` is the one index
 from a vertex pair to its edge. Graphs are immutable after construction,
 these two included, and safe to share across threads. Every edge-set
 argument is read through :func:`edge_ids`, which enforces an
-:class:`EdgeSet`'s tag and the range of plain edge indices, and every integer
-argument through :func:`check_int`.
+:class:`EdgeSet`'s tag and the range of plain edge indices, a lone vertex
+through :func:`check_vertex`, and every integer argument through
+:func:`check_int`.
 """
 
 from __future__ import annotations
@@ -119,20 +120,25 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
+        check_vertex(self, v)
         return len(self.adj[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        check_vertex(self, v)
         return tuple(w for w, _ in self.adj[v])
 
     def incident(self, v: int) -> frozenset[int]:
         """Indices of all edges incident to vertex ``v``."""
+        check_vertex(self, v)
         return frozenset(self.edge_to[v].values())
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = _endpoints((u, v))
         # The range check keeps a negative u from indexing from the end.
         return 0 <= u < self.n and v in self.edge_to[u]
 
     def edge_id(self, u: int, v: int) -> int:
+        u, v = _endpoints((u, v))
         eid = self.edge_to[u].get(v) if 0 <= u < self.n else None
         if eid is None:
             raise ParameterError(f"({min(u, v)}, {max(u, v)}) is not an edge")
@@ -221,6 +227,15 @@ def _endpoints(edge) -> tuple[int, int]:
         check_int(u, "edge endpoint", 0)
         check_int(v, "edge endpoint", 0)
     return u, v
+
+
+def check_vertex(graph: Graph, v: int, name: str = "vertex") -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``v`` is a vertex
+    of ``graph``: an int in ``0..n-1``, so -1 is not the last vertex."""
+    if type(v) is not int:
+        check_int(v, name, 0)
+    if not 0 <= v < graph.n:
+        raise ParameterError(f"{name} {v} out of range for n={graph.n}")
 
 
 def check_int(value: int, name: str, least: int) -> None:

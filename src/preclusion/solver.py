@@ -140,7 +140,8 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import OracleLimitError, ParameterError, PreconditionError
-from .graphs import ComponentReport, EdgeSet, Graph, check_int, components, edge_ids, random_graph
+from .graphs import (ComponentReport, EdgeSet, Graph, check_int, check_vertex, components,
+                     edge_ids, random_graph)
 from .matching import (
     augment_from,
     matching_number_excluding,
@@ -304,9 +305,7 @@ def is_anti_kekule_set(g: Graph, f: Iterable[int]) -> bool:
 def trivial_mp_set(g: Graph, v: int) -> EdgeSet:
     """I(v): all edges incident to ``v``. For even order this is always a
     matching preclusion set (v becomes isolated)."""
-    check_int(v, "v", 0)
-    if v >= g.n:
-        raise ParameterError(f"vertex {v} out of range for n={g.n}")
+    check_vertex(g, v, "v")
     return EdgeSet(g, g.incident(v))
 
 

@@ -257,21 +257,22 @@ def test_verify_lemma5_q3_reports_counterexamples(capsys):
 
 
 def test_verify_lemma5_q4_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "lemma5", "4", "--count", "5000", "--seed", "1")
+    argv = ["verify", "lemma5", "4", "1", "5000"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     report = report_of(out)
     assert report["result"]["passed"]
     assert report["result"]["seed"] == 1 and report["result"]["checked"] == 5000
-    # The flags that pick the sample are echoed, so the report can be re-run.
-    assert report["command"] == ["verify", "lemma5", "4", "--seed", "1", "--count", "5000"]
+    # The command is the argv that ran, so the report can be re-run.
+    assert report["command"] == argv
     validate_schema(report)
 
 
 def test_verify_rejects_an_empty_sample(capsys):
-    # --count 0 is an empty run, not a request for the default count.
-    for suite, params in (("lemma5", ["4"]), ("chain", ["1"]), ("reduction-fuzz", ["1"])):
+    # A count of 0 is an empty run, not a request for the default count.
+    for suite, params in (("lemma5", ["4", "1"]), ("chain", ["1"]), ("reduction-fuzz", ["1"])):
         for count in ("0", "-1"):
-            code, out, err = run_cli(capsys, "verify", suite, *params, "--count", count)
+            code, out, err = run_cli(capsys, "verify", suite, *params, count)
             assert code == 2 and out == "" and "must be >= 1" in err, (suite, count)
 
 
@@ -342,14 +343,15 @@ def test_verify_rejects_parameters_it_would_ignore_or_contradict(capsys, argv):
     assert "error:" in usage_error(capsys, "verify", *argv)
 
 
-def test_verify_takes_seed_and_count_as_flags_or_parameters(capsys):
-    code, out, _ = run_cli(capsys, "verify", "chain", "--seed", "11", "--count", "5")
-    flags = report_of(out)
-    code2, out, _ = run_cli(capsys, "verify", "chain", "11", "5")
-    positional = report_of(out)
-    assert code == code2 == 0
-    assert flags["command"] == ["verify", "chain", "--seed", "11", "--count", "5"]
-    assert flags["result"] == positional["result"]
+@pytest.mark.parametrize("argv", [
+    ("chain", "--seed", "1"),
+    ("reduction-fuzz", "--count", "5"),
+    ("lemma5", "4", "--seed", "1"),
+])
+def test_verify_takes_seed_and_count_only_as_parameters(capsys, argv):
+    # One spelling per value, so a report's command is the argv that ran.
+    flag = argv[-2]
+    assert f"unrecognized arguments: {flag}" in usage_error(capsys, "verify", *argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -454,23 +456,25 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: simulated fault"
 
 
-def _run_cli_under_1_gib(*argv):
+def _run_cli_under_1_gib(*argv, stdin="", **environ):
     """The CLI in a child process under a 1 GiB address-space limit, so a
     missing size cap fails with a MemoryError instead of exhausting the
-    machine."""
+    machine. ``stdin`` is written one byte per character, and ``environ``
+    is added to the child's environment."""
     import os
     import resource
     import subprocess
     import sys
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]), **environ)
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    return subprocess.run([sys.executable, "-m", "preclusion.cli", *argv], capture_output=True,
-                          text=True, env=env, preexec_fn=limit_memory)
+    return subprocess.run([sys.executable, "-m", "preclusion.cli", *argv], input=stdin,
+                          capture_output=True, encoding="latin-1", env=env,
+                          preexec_fn=limit_memory)
 
 
 def test_huge_declared_order_exits_2(tmp_path):
@@ -531,6 +535,15 @@ def test_non_ascii_stdin_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "solve", "--mode", "mp")
     assert (code, out) == (2, "")
     assert err == "error: graph input must be ASCII text (byte offset 6)\n"
+
+
+def test_stdin_bytes_that_do_not_decode_exit_2():
+    # Under a strict UTF-8 stdin, as in a UTF-8 locale, the byte 0xff fails
+    # in sys.stdin.read itself, before the ASCII check.
+    proc = _run_cli_under_1_gib("solve", "-", "--mode", "mp", stdin="\xff\n",
+                                PYTHONIOENCODING="utf-8:strict")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: graph input must be ASCII text (byte offset 0)\n"
 
 
 def test_crlf_file_offsets_count_both_line_end_bytes(tmp_path, capsys):

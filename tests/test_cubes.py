@@ -38,6 +38,8 @@ def test_incident_sets():
         q = hypercube(n)
         for eid in range(q.m):
             assert len(incident_pair_set(q, eid)) == 2 * n - 2
+    with pytest.raises(ParameterError, match="^edge index 12 out of range for m=12$"):
+        incident_pair_set(q3, q3.m)
 
 
 def test_two_paths_enumeration():

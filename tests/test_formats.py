@@ -1,6 +1,6 @@
 import pytest
 
-from preclusion import ParseError, cycle, emit, hypercube, parse, path, petersen
+from preclusion import ParameterError, ParseError, cycle, emit, hypercube, parse, path, petersen
 from preclusion.formats import detect_format
 from preclusion.graphs import complete_bipartite
 from conftest import random_corpus
@@ -47,6 +47,15 @@ def test_graph6_parse_errors_carry_offsets():
         parse("graph6", "")
     with pytest.raises(ParseError):
         parse("graph6", "D")  # truncated body for n=5
+    with pytest.raises(ParseError, match="^graph6 sizes above 258047 are not supported") as err:
+        parse("graph6", "~~??????")
+    assert err.value.offset == 1
+
+
+def test_unknown_formats_are_parameter_errors():
+    for call in (lambda: parse("xml", ""), lambda: emit(cycle(4), "xml")):
+        with pytest.raises(ParameterError, match="^unknown format 'xml'; choose from"):
+            call()
 
 
 def test_edge_list_round_trip_k2():

@@ -23,7 +23,7 @@ from preclusion import (
     random_bipartite_with_pm,
     random_graph,
 )
-from preclusion.graphs import MAX_VERTICES
+from preclusion.graphs import MAX_VERTICES, edge_ids
 from conftest import random_corpus, relabel
 
 
@@ -62,6 +62,26 @@ def test_edge_lookups_reject_vertices_out_of_range():
                     assert not g.has_edge(u, v)
                     with pytest.raises(ParameterError):
                         g.edge_id(u, v)
+
+
+def test_vertex_accessors_refuse_what_is_no_vertex():
+    # -1 must not read the last vertex, n must not escape as a bare
+    # IndexError, and a bool or float must not pass for a vertex.
+    from preclusion import trivial_mp_set
+    c5 = cycle(5)
+    for read in (c5.degree, c5.neighbors, c5.incident):
+        for bad in (-1, 5):
+            with pytest.raises(ParameterError, match=f"^vertex {bad} out of range for n=5$"):
+                read(bad)
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(ParameterError, match="^vertex must be an integer"):
+                read(bad)
+    with pytest.raises(ParameterError, match="^v 5 out of range for n=5$"):
+        trivial_mp_set(c5, 5)
+    for u, v in ((True, 2), (0, 1.0), (1.0, 2), (None, 1)):
+        for lookup in (c5.has_edge, c5.edge_id):
+            with pytest.raises(ParameterError, match="^edge endpoint must be an integer"):
+                lookup(u, v)
 
 
 def test_edge_index_agrees_with_edges_and_adjacency():
@@ -176,6 +196,17 @@ def test_random_generators_check_the_order_before_building():
         random_bipartite_with_pm(MAX_VERTICES // 2 + 1, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(MAX_VERTICES + 1, []), "vertex count 258048 exceeds the limit of 258047"),
+    (lambda: complete(1416), "edge count 1001820 exceeds the limit of 1000000"),
+    (lambda: random_graph(4, 7, seed=0), "edge count 7 out of range for n=4"),
+], ids=["graph order", "complete edges", "random edges"])
+def test_sizes_past_a_limit_are_refused(call, message):
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_delete_edges_identity_and_basic():
     q3 = hypercube(3)
     same = delete_edges(q3, EdgeSet(q3, []))
@@ -240,6 +271,11 @@ def test_edge_set_validation_and_ops():
     es = EdgeSet.from_pairs(q3, [(0, 1), (0, 2)])
     assert len(es) == 2
     assert es.pairs() == ((0, 1), (0, 2))
+    assert (1 in es, 2 in es) == (True, False)
+    assert hash(es) == hash(EdgeSet(q3, [1, 0])) and repr(es) == "EdgeSet([0, 1])"
+    # A one-shot iterator is used up, so no second pass can name the index.
+    with pytest.raises(ParameterError, match="^edge index is not hashable$"):
+        edge_ids(q3, iter([[0]]))
 
 
 def test_names_without_a_caller_are_gone():

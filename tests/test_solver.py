@@ -58,6 +58,8 @@ def test_problem_kind_validation():
     with pytest.raises(ParameterError):
         from preclusion import ProblemKind
         ProblemKind("mp", s=2)
+    with pytest.raises(ParameterError, match="^unknown problem kind 'xyz'$"):
+        ProblemKind("xyz")
     assert mp_s(1).label() == "mp_1"
     assert MP.label() == "mp" and AK.label() == "ak"
 

@@ -92,8 +92,8 @@ INVOCATIONS = [
     "verify hypercube 3 2",
     "verify lemma4 3",
     "verify lemma5 3",
-    "verify lemma5 4 --count 200 --seed 1",
-    "verify chain --count 5",
+    "verify lemma5 4 1 200",
+    "verify chain 0 5",
     "verify reduction-fuzz 1 5",
     "solve c4.txt --mode mp --s 3",
     "solve q3.txt --mode mps",
@@ -103,6 +103,8 @@ INVOCATIONS = [
     "reduce c4.txt --s 2",
     "verify hypercube 3",
     "verify lemma5 3 --slow",
+    "verify lemma5 3 1",
+    "verify chain --seed 1",
     "verify chain --jobs 0",
     "gen hypercube 0",
 ]
