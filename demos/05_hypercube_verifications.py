@@ -38,7 +38,7 @@ print(f"  corrected form (no I(uv), no star superset) still fails on"
       f" {len(rep['corrected_failures'])} fault sets: the dimension cuts")
 for fault in rep["corrected_failures"]:
     print(f"    {fault} -> two disjoint 4-cycles")
-rep4 = super_connectivity_report(4, samples=20_000, seed=1)
+rep4 = super_connectivity_report(4, seed=1, count=20_000)
 print(f"  Q4, {rep4['checked']} sampled faults of size 6: corrected form holds:"
       f" {rep4['passed']} (dimension cuts have size 8 > 6 there)")
 

@@ -25,7 +25,6 @@ from .cubes import (
     lemma_report_conditional_sets,
     super_connectivity_report,
     verify_mps_hypercube,
-    verify_trivial_conditional_connected,
 )
 from .reduction import build_reduction, verify_equivalence, fuzz_equivalence
 from .solver import (
@@ -179,19 +178,12 @@ def _verify_hypercube(n: int, s: int) -> dict:
     }
 
 
-def _verify_lemma5(n: int, seed: Optional[int] = None, count: Optional[int] = None) -> dict:
-    out = super_connectivity_report(n, samples=count, seed=seed)
-    out["trivial_conditional_sets_leave_connected"] = verify_trivial_conditional_connected(n)
-    out["passed"] = out["passed"] and out["trivial_conditional_sets_leave_connected"]
-    return out
-
-
 # Each suite's runner, which takes the suite's positional parameters in
 # order, how many of them it needs, and their names. A runner supplies its
 # own defaults. lemma4's runner also takes --slow, as ``allow_slow``.
 _SUITES = {
     "hypercube": (_verify_hypercube, 2, ("n", "s")),
-    "lemma5": (_verify_lemma5, 1, ("n", "seed", "count")),
+    "lemma5": (super_connectivity_report, 1, ("n", "seed", "count")),
     "lemma4": (lemma_report_conditional_sets, 1, ("n",)),
     "chain": (chain_suite, 0, ("seed", "count")),
     "reduction-fuzz": (fuzz_equivalence, 0, ("seed", "count")),

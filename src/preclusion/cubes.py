@@ -207,20 +207,21 @@ def _incident_pair_cuts(g: Graph) -> set[frozenset[int]]:
     return {frozenset(incident_pair_set(g, eid).members) for eid in range(g.m)}
 
 
-def super_connectivity_report(n: int, samples: Optional[int] = None,
-                              seed: Optional[int] = None) -> dict:
+def super_connectivity_report(n: int, seed: Optional[int] = None,
+                              count: Optional[int] = None) -> dict:
     """Check the corrected connectivity statement on size-(2n-2) fault sets:
     every fault set that is neither an incident-pair cut nor a superset of a
     vertex star leaves the n-cube connected. Exhaustive for n=3, which takes
-    neither ``samples`` nor ``seed``; otherwise seeded random sampling of
-    ``samples`` sets (default 100,000, seed 0), reported with its seed.
-    The literal-form counterexample is rebuilt and reported alongside."""
+    neither ``seed`` nor ``count``; otherwise seeded random sampling of
+    ``count`` sets (default seed 0, 100,000 sets), reported with its seed.
+    The literal-form counterexample is rebuilt and reported alongside, and
+    ``passed`` also requires :func:`verify_trivial_conditional_connected`."""
     check_int(n, "n", 3)
-    if n == 3 and (samples is not None or seed is not None):
-        raise ParameterError("n=3 is checked exhaustively and takes no samples or seed")
-    samples = 100_000 if samples is None else samples
+    if n == 3 and (seed is not None or count is not None):
+        raise ParameterError("n=3 is checked exhaustively and takes no seed or count")
     seed = 0 if seed is None else seed
-    check_int(samples, "samples", 1)
+    count = 100_000 if count is None else count
+    check_int(count, "count", 1)
     g = hypercube(n)
     size = 2 * n - 2
     pair_cuts = _incident_pair_cuts(g)
@@ -232,9 +233,9 @@ def super_connectivity_report(n: int, samples: Optional[int] = None,
         checked = comb(g.m, size)
     else:
         rng = random.Random(seed)
-        corpus = (tuple(sorted(rng.sample(range(g.m), size))) for _ in range(samples))
+        corpus = (tuple(sorted(rng.sample(range(g.m), size))) for _ in range(count))
         mode = "sampled"
-        checked = samples
+        checked = count
     for combo in corpus:
         fault = frozenset(combo)
         if fault in pair_cuts:
@@ -265,8 +266,9 @@ def super_connectivity_report(n: int, samples: Optional[int] = None,
         "counts": counts,
         "corrected_failures": failures[:5],
         "literal_counterexample": counterexample,
-        "passed": not failures,
+        "trivial_conditional_sets_leave_connected": verify_trivial_conditional_connected(n),
     }
+    report["passed"] = not failures and report["trivial_conditional_sets_leave_connected"]
     if mode == "sampled":
         report["seed"] = seed
     return report

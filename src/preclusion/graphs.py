@@ -202,6 +202,8 @@ class EdgeSet:
         return iter(self.ids)
 
     def __contains__(self, eid: int) -> bool:
+        if type(eid) is not int:
+            check_int(eid, "edge index", 0)
         return eid in self.ids
 
     def __eq__(self, other) -> bool:

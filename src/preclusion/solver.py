@@ -359,10 +359,7 @@ class _Search:
     def __init__(self, g: Graph, kind: ProblemKind):
         self.g = g
         self.floor = kind.component_floor(g.n)
-        # The side rule and pendant bans (module docstring) act under a floor
-        # of 2: mp_s(s) with s >= 1, and ak with n >= 2, as on any graph with
-        # an edge, the only graphs the search steps on.
-        self.has_side = self.floor >= 2
+        self.has_side = kind.has_side_condition
         # The orbit gate, in nodes: the size of a perfect matching.
         self.gate = g.n // 2
         self.mates = maximum_matching_mates(g)

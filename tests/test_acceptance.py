@@ -165,7 +165,7 @@ def test_criterion_8a_corrected_connectivity_q3_exhaustive():
 
 
 def test_criterion_8b_corrected_connectivity_q4_sampled():
-    report = super_connectivity_report(4, samples=100_000, seed=808)
+    report = super_connectivity_report(4, seed=808, count=100_000)
     ok = report["passed"] and report["checked"] >= 100_000
     assert report_line(
         "8b", ok,

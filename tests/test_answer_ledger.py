@@ -1,7 +1,9 @@
 """The answer ledger: ``tests/answers.txt`` holds the lines that
 ``tools/answer_digest.py`` prints for its fast entries, so a change that
-moves an answer, a search counter, a CLI report or an error fails here. A
-moved line is a changed check: regenerate the ledger from the root with
+moves an answer, a search counter, a CLI report or an error fails here.
+Each line pins ``answers`` apart from ``counters``, so a moved line shows
+which of the two moved. A moved line is a changed check: regenerate the
+ledger from the root with
 
     for w in hypercube cli symmetry formats; do
         python3 tools/answer_digest.py --workload $w

@@ -254,6 +254,8 @@ def test_verify_lemma5_q3_reports_counterexamples(capsys):
     assert report["result"]["literal_counterexample"]["contains_vertex_star"]
     assert report["result"]["trivial_conditional_sets_leave_connected"]
     validate_schema(report)
+    # Exhaustive, so a seed or count would be ignored.
+    assert "takes no seed or count" in usage_error(capsys, "verify", "lemma5", "3", "1")
 
 
 def test_verify_lemma5_q4_passes(capsys):
@@ -273,7 +275,7 @@ def test_verify_rejects_an_empty_sample(capsys):
     for suite, params in (("lemma5", ["4", "1"]), ("chain", ["1"]), ("reduction-fuzz", ["1"])):
         for count in ("0", "-1"):
             code, out, err = run_cli(capsys, "verify", suite, *params, count)
-            assert code == 2 and out == "" and "must be >= 1" in err, (suite, count)
+            assert code == 2 and out == "" and "count must be >= 1" in err, (suite, count)
 
 
 def test_verify_command_echoes_slow_and_nothing_unasked(capsys):

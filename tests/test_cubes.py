@@ -9,6 +9,7 @@ from preclusion import (
     Graph,
     MP,
     ParameterError,
+    PreclusionError,
     TwoPath,
     brute_force_solve,
     check_connected_after,
@@ -28,6 +29,7 @@ from preclusion import (
     verify_mps_hypercube,
     verify_trivial_conditional_connected,
 )
+from preclusion import cubes
 from preclusion.cubes import lemma_report_conditional_sets
 
 
@@ -91,12 +93,20 @@ def test_check_connected_after():
     assert check_connected_after(q3, trivial_conditional_set(q3, next(two_paths(q3))))
 
 
-def test_lemma4_structure_q3():
+def test_lemma4_structure_q3(monkeypatch):
     report = lemma_report_conditional_sets(3)
     assert report["subsets_checked"] == 495
     assert report["conditional_sets"] == 24
     assert report["trivial_sets"] == 24
     assert report["passed"]
+    # Knowing one trivial set, the report lists the first five of the other
+    # 23 conditional sets as nontrivial and fails.
+    first = next(two_paths(hypercube(3)))
+    monkeypatch.setattr(cubes, "two_paths", lambda g: iter([first]))
+    report = lemma_report_conditional_sets(3)
+    assert (report["conditional_sets"], report["trivial_sets"]) == (24, 1)
+    assert not report["passed"] and len(report["nontrivial_examples"]) == 5
+    assert all(len(fault) == 4 for fault in report["nontrivial_examples"])
 
 
 def test_lemma4_structure_q4_behind_flag():
@@ -125,12 +135,16 @@ def test_every_trivial_conditional_set_is_conditional():
         assert is_s_restricted_set(q3, trivial_conditional_set(q3, p), 1)
 
 
-def test_verify_mps_hypercube_q3():
+def test_verify_mps_hypercube_q3(monkeypatch):
     for s in (2, 3):
         cert = verify_mps_hypercube(3, s)
         assert cert.value == 4
         assert "exhaustively" in cert.note
         assert is_s_restricted_set(hypercube(3), cert.witness, s)
+    # A witness that fails its own predicate is an error, not an upper bound.
+    monkeypatch.setattr(cubes, "is_s_restricted_set", lambda g, f, s: False)
+    with pytest.raises(PreclusionError, match="failed the 2-restricted predicate on Q_3"):
+        verify_mps_hypercube(3, 2)
 
 
 def test_verify_mps_hypercube_large_n_is_labeled():
@@ -195,7 +209,7 @@ def test_super_connectivity_q3_finds_exactly_the_dimension_cuts():
 
 
 def test_super_connectivity_q4_sampled_passes():
-    report = super_connectivity_report(4, samples=20_000, seed=3)
+    report = super_connectivity_report(4, seed=3, count=20_000)
     assert report["mode"] == "sampled"
     assert report["passed"]
     assert report["counts"]["other"] > 0
@@ -203,14 +217,14 @@ def test_super_connectivity_q4_sampled_passes():
 
 
 def test_super_connectivity_rejects_an_empty_sample():
-    for samples in (0, -1):
+    for count in (0, -1):
         with pytest.raises(ParameterError):
-            super_connectivity_report(4, samples=samples)
+            super_connectivity_report(4, count=count)
 
 
 def test_super_connectivity_q3_takes_no_sample_size_or_seed():
     # n = 3 is checked exhaustively, so either value would be ignored.
-    for options in ({"seed": 5}, {"samples": 7}):
+    for options in ({"seed": 5}, {"count": 7}):
         with pytest.raises(ParameterError, match="exhaustively"):
             super_connectivity_report(3, **options)
 

@@ -273,9 +273,24 @@ def test_edge_set_validation_and_ops():
     assert es.pairs() == ((0, 1), (0, 2))
     assert (1 in es, 2 in es) == (True, False)
     assert hash(es) == hash(EdgeSet(q3, [1, 0])) and repr(es) == "EdgeSet([0, 1])"
+    # Neither equals a value of another type.
+    assert (q3 == "Q3", es == 5) == (False, False) and repr(q3) == "Graph(n=8, m=12)"
     # A one-shot iterator is used up, so no second pass can name the index.
     with pytest.raises(ParameterError, match="^edge index is not hashable$"):
         edge_ids(q3, iter([[0]]))
+    # A bare int is no iterable of indices: frozenset's TypeError stands.
+    with pytest.raises(TypeError):
+        edge_ids(cycle(5), 5)
+
+
+def test_edge_set_membership_reads_the_index_rule():
+    # A bool or float is no edge index, though True == 1 and 1.0 == 1 in
+    # Python; any int answers by membership, so -1 is simply absent.
+    s = EdgeSet(cycle(5), [1, 3])
+    for eid in (True, 1.0, "1", None):
+        with pytest.raises(ParameterError, match="edge index must be an integer"):
+            eid in s
+    assert (1 in s, 2 in s, -1 in s, 99 in s) == (True, False, False, False)
 
 
 def test_names_without_a_caller_are_gone():

@@ -9,6 +9,7 @@ from preclusion import (
     MP,
     ParameterError,
     PreconditionError,
+    ReductionError,
     TagMismatchError,
     backward_extract,
     brute_force_solve,
@@ -27,6 +28,7 @@ from preclusion import (
     random_bipartite_with_pm,
     verify_equivalence,
 )
+from preclusion import reduction
 from preclusion.matching import matching_number_excluding
 from preclusion.solver import ORACLE_EDGE_LIMIT, evidence_for
 from preclusion.symmetry import automorphisms, is_automorphism
@@ -152,10 +154,14 @@ def test_edge_set_consumers_read_plain_indices_as_edges_of_their_graph(name):
             consume(r, (0, bad))
 
 
-def test_backward_extract_case_e_deleted():
+def test_backward_extract_case_e_deleted(monkeypatch):
     r = build_reduction(k2())
     out = backward_extract(r, EdgeSet(r.gadget, [0, r.edge_e]), k=1)
     assert sorted(out.members) == [0]
+    # A restriction that does not preclude breaks the case analysis.
+    monkeypatch.setattr(reduction, "is_matching_preclusion_set", lambda g, f: False)
+    with pytest.raises(ReductionError, match="deleted-e case"):
+        backward_extract(r, EdgeSet(r.gadget, [0, r.edge_e]), k=1)
 
 
 def test_backward_extract_case_intersection_precludes():

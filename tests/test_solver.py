@@ -184,7 +184,7 @@ INTEGER_ARGUMENTS = [
     (lambda x: verify_mps_hypercube(3, x), "s", 2),
     (star_plus_padding_counterexample, "n", 3),
     (super_connectivity_report, "n", 3),
-    (lambda x: super_connectivity_report(4, samples=x), "samples", 1),
+    (lambda x: super_connectivity_report(4, count=x), "count", 1),
     (lemma_report_conditional_sets, "n", 3),
     (verify_trivial_conditional_connected, "n", 3),
     (lambda x: incident_pair_set(_C4, x), "edge_id", 0),
@@ -323,10 +323,19 @@ def test_mp_s_zero_equals_mp():
         assert solve(g, mp_s(0)).value == solve(g, MP).value
 
 
-def test_monotone_chain_with_infinity_top():
+def test_monotone_chain_with_infinity_top(monkeypatch):
     for g in random_even_corpus(40, seed=405):
         values = [solve(g, mp_s(s)).value for s in range(4)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+    # chain_suite records each broken chain with its graph, INFINITY in words.
+    from types import SimpleNamespace
+    from preclusion import solver
+    monkeypatch.setattr(solver, "solve", lambda g, kind: SimpleNamespace(
+        value=math.inf if kind.s == 0 else kind.s))
+    out = chain_suite(seed=1, count=2)
+    assert not out["passed"] and [v["index"] for v in out["violations"]] == [0, 1]
+    assert all(v["values"] == ["infinity", 1, 2, 3] and len(v["edges"]) <= ORACLE_EDGE_LIMIT
+               for v in out["violations"])
 
 
 def test_mp_at_most_ak_on_even_order():

@@ -1,5 +1,6 @@
-"""One sha256 per benchmark workload and seed over every answer the library
-gives, to show that a refactor changed no answer and no search counter.
+"""Two sha256 per benchmark workload and seed, one over every answer the
+library gives and one over its search counters, to show that a refactor
+changed no answer and, apart from that, no counter.
 
 Run from the root of a checkout:
 
@@ -9,26 +10,30 @@ Run from the root of a checkout:
 ``preclusion`` is imported from that checkout's ``src/``, and the instance
 lists are built by ``BUILDERS`` in its ``perfbench/workloads.py``, so the
 same script compares two checkouts: run it from each root, each in its own
-process, and diff the output. Each instance runs once, in list order. A
-certificate contributes its value, reason, note, witness ids, evidence and
-sorted ``stats``; a suite (``fuzz_equivalence``, the hypercube lemma) its
-report dict. With no arguments it covers ``hypercube`` seeds 1-6,
+process, and diff the output. Each instance runs once, in list order. Each
+line carries ``answers``, a sha256 over a certificate's value, reason, note,
+witness ids and evidence, or over a suite's report (``fuzz_equivalence``,
+the hypercube lemma) without its ``subsets_checked``; and ``counters``, a
+sha256 over each certificate's sorted ``stats`` and each report's
+``subsets_checked``. A change that only moves the search's work moves only
+``counters``. With no arguments it covers ``hypercube`` seeds 1-6,
 ``random`` seeds 1-3, ``oracle`` seed 1, ``cli``, ``symmetry`` and
 ``formats``, about 20 s on one x86 core.
 
 The ``cli`` entry takes no seed. It runs each invocation in ``INVOCATIONS``
 through ``preclusion.cli.main`` in this process, with stdout and stderr
-captured and ``SystemExit`` caught, and prints one sha256 per invocation
-over its output (a report without its ``timing``), its exit code and its
-stderr. Input files are written to a temporary directory; none is read from
-stdin.
+captured and ``SystemExit`` caught. Per invocation, ``answers`` is a sha256
+over its output (a report without its ``timing`` and ``stats``), its exit
+code and its stderr, and ``counters`` one over the report's ``stats``. Input
+files are written to a temporary directory; none is read from stdin.
 
-The ``symmetry`` entry takes no seed either. It prints one sha256 over the
-generators that ``symmetry.automorphisms(g, fixed)`` returns and the
-``edge_orbits`` they generate, on a fixed corpus (``symmetry_cases``): Q3-Q5,
-Petersen, K_{4,4}, K_{3,5}, K_{1,5} and 30 seeded random graphs on 6-14
-vertices, some with twins, each with no fixed sets and with three seeded
-(F, B) pairs. It runs in under 2 s.
+The ``symmetry`` entry takes no seed either. Its ``answers`` are a sha256
+over the ``edge_orbits`` that the generators of
+``symmetry.automorphisms(g, fixed)`` generate, and its ``counters`` one over
+those generators, which any generating set of the group may replace. Its
+corpus is fixed (``symmetry_cases``): Q3-Q5, Petersen, K_{4,4}, K_{3,5},
+K_{1,5} and 30 seeded random graphs on 6-14 vertices, some with twins, each
+with no fixed sets and with three seeded (F, B) pairs. It runs in under 2 s.
 
 The ``formats`` entry takes no seed. It reads each input of ``FORMAT_CASES``
 (valid graphs, and one input per kind of input error) through
@@ -104,6 +109,7 @@ INVOCATIONS = [
     "verify hypercube 3",
     "verify lemma5 3 --slow",
     "verify lemma5 3 1",
+    "verify lemma5 4 1 0",
     "verify chain --seed 1",
     "verify chain --jobs 0",
     "gen hypercube 0",
@@ -175,10 +181,12 @@ FORMAT_CASES = {
 }
 
 
-def canonical(result) -> str:
-    """The answer as one JSON text, independent of timing and dict order."""
+def canonical(result) -> tuple[str, str]:
+    """The answer and the counters, each as one JSON text, independent of
+    timing and dict order."""
     if isinstance(result, dict):
-        answer = result
+        answer = dict(result)
+        counters = answer.pop("subsets_checked", None)
     else:
         evidence = result.evidence
         answer = {
@@ -188,20 +196,35 @@ def canonical(result) -> str:
             "witness": None if result.witness is None else sorted(result.witness.members),
             "evidence": None if evidence is None else [
                 evidence.nu_after, evidence.component_min_size, evidence.connected],
-            "stats": sorted((result.stats or {}).items()),
         }
-    return json.dumps(answer, sort_keys=True, default=repr)
+        counters = sorted((result.stats or {}).items())
+    return (json.dumps(answer, sort_keys=True, default=repr),
+            json.dumps(counters, sort_keys=True))
 
 
-def digest(instances) -> str:
-    h = hashlib.sha256()
+class Digests:
+    """Two sha256, over the answers and over the counters of named items."""
+
+    def __init__(self):
+        self.answers, self.counters = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, name: str, answer: str, counters: str) -> None:
+        self.answers.update(f"{name}\t{answer}\n".encode())
+        self.counters.update(f"{name}\t{counters}\n".encode())
+
+    def __str__(self) -> str:
+        return f"answers={self.answers.hexdigest()} counters={self.counters.hexdigest()}"
+
+
+def digest(instances) -> Digests:
+    out = Digests()
     for instance in instances:
-        h.update(f"{instance.name}\t{canonical(instance.run())}\n".encode())
-    return h.hexdigest()
+        out.update(instance.name, *canonical(instance.run()))
+    return out
 
 
 def cli_digests(lib):
-    """(invocation, exit code, sha256) for each of INVOCATIONS, run through
+    """(invocation, exit code, digests) for each of INVOCATIONS, run through
     ``lib``'s CLI."""
     main = importlib.import_module(lib.__name__ + ".cli").main
     with tempfile.TemporaryDirectory() as tmp:
@@ -215,13 +238,15 @@ def cli_digests(lib):
                     code = main(argv)
                 except SystemExit as exc:
                     code = exc.code
-            text = out.getvalue()
+            text, stats = out.getvalue(), None
             if text.startswith("{"):
                 report = json.loads(text)
                 report.pop("timing", None)
+                stats = report.pop("stats", None)
                 text = json.dumps(report, sort_keys=True)
-            h = hashlib.sha256(f"{text}\0{code}\0{err.getvalue()}".encode())
-            yield line, code, h.hexdigest()
+            digests = Digests()
+            digests.update(line, f"{text}\0{code}\0{err.getvalue()}", json.dumps(stats))
+            yield line, code, digests
 
 
 def symmetry_cases(lib):
@@ -242,18 +267,18 @@ def symmetry_cases(lib):
             yield name, g, (sorted(fault), sorted(rng.sample(rest, rng.randint(0, min(3, len(rest))))))
 
 
-def symmetry_digest(lib) -> tuple[int, str]:
-    """The number of cases and one sha256 over each case's generators and
-    edge orbits."""
+def symmetry_digest(lib) -> tuple[int, Digests]:
+    """The number of cases and the digests of each case's edge orbits and
+    generators."""
     symmetry = importlib.import_module(lib.__name__ + ".symmetry")
-    h = hashlib.sha256()
+    digests = Digests()
     cases = 0
     for name, g, fixed in symmetry_cases(lib):
         generators = symmetry.automorphisms(g, fixed)
         orbits = [sorted(orbit) for orbit in symmetry.edge_orbits(g, generators)]
-        h.update(f"{name}\t{json.dumps([fixed, generators, orbits])}\n".encode())
+        digests.update(name, json.dumps([fixed, orbits]), json.dumps([fixed, generators]))
         cases += 1
-    return cases, h.hexdigest()
+    return cases, digests
 
 
 def format_digests(lib):
@@ -292,12 +317,12 @@ def main(argv=None) -> int:
         parser.error(f"the {args.workload} entry takes no seeds")
     for workload in [args.workload] if args.workload else WORKLOADS:
         if workload == "cli":
-            for line, code, sha in cli_digests(lib):
-                print(f"cli {line} exit={code} sha256={sha}", flush=True)
+            for line, code, digests in cli_digests(lib):
+                print(f"cli {line} exit={code} {digests}", flush=True)
             continue
         if workload == "symmetry":
-            cases, sha = symmetry_digest(lib)
-            print(f"symmetry cases={cases} sha256={sha}", flush=True)
+            cases, digests = symmetry_digest(lib)
+            print(f"symmetry cases={cases} {digests}", flush=True)
             continue
         if workload == "formats":
             for name, outcome, message in format_digests(lib):
@@ -307,7 +332,7 @@ def main(argv=None) -> int:
         for seed in args.seeds or DEFAULT_SEEDS[workload]:
             instances = builders[workload](lib, seed)
             print(f"{workload} seed={seed} instances={len(instances)} "
-                  f"sha256={digest(instances)}", flush=True)
+                  f"{digest(instances)}", flush=True)
     return 0
 
 
