@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -22,15 +21,14 @@ from .errors import ParameterError, ParseError, PreclusionError
 from .formats import detect_format, emit, parse
 from .graphs import FAMILIES, Graph, check_int, generate
 from .cubes import (
+    hypercube_report,
     lemma_report_conditional_sets,
     super_connectivity_report,
-    verify_mps_hypercube,
 )
 from .reduction import build_reduction, verify_equivalence, fuzz_equivalence
 from .solver import (
     AK,
     MP,
-    PreclusionCertificate,
     chain_suite,
     mp_s,
     solve,
@@ -75,25 +73,6 @@ def _read_graph(path: str) -> Graph:
     return parse(detect_format(text), text)
 
 
-def _json_value(value: float):
-    return "infinity" if math.isinf(value) else int(value)
-
-
-def certificate_to_dict(cert: PreclusionCertificate) -> dict:
-    out: dict = {"kind": cert.kind.label(), "value": _json_value(cert.value)}
-    if cert.witness is not None:
-        out["witness"] = sorted(cert.witness.members)
-        out["witness_edges"] = [list(pair) for pair in cert.witness.pairs()]
-    else:
-        out["witness"] = None
-    out["evidence"] = asdict(cert.evidence) if cert.evidence is not None else None
-    if cert.reason is not None:
-        out["reason"] = cert.reason
-    if cert.note is not None:
-        out["note"] = cert.note
-    return out
-
-
 def _echo(args: argparse.Namespace, *names: str) -> list:
     """``--name value`` for each option in ``names`` given a value, for a
     report's ``command``."""
@@ -135,7 +114,7 @@ def cmd_solve(parser, args) -> tuple[bool, dict]:
     return cert.feasible, {
         "command": ["solve", "--mode", args.mode] + _echo(args, "s", "budget"),
         "input": {"n": g.n, "m": g.m, "family": None},
-        "result": certificate_to_dict(cert),
+        "result": cert.to_dict(),
         "stats": cert.stats,
     }
 
@@ -166,23 +145,12 @@ def cmd_reduce(parser, args) -> tuple[bool, dict]:
     }
 
 
-def _verify_hypercube(n: int, s: int) -> dict:
-    cert = verify_mps_hypercube(n, s)
-    expected = 2 * n - 2
-    return {
-        "n": n,
-        "s": s,
-        "expected": expected,
-        "certificate": certificate_to_dict(cert),
-        "passed": cert.value == expected,
-    }
-
-
-# Each suite's runner, which takes the suite's positional parameters in
-# order, how many of them it needs, and their names. A runner supplies its
-# own defaults. lemma4's runner also takes --slow, as ``allow_slow``.
+# Each suite's runner, a library function that takes the suite's positional
+# parameters in order, how many of them it needs, and their names. A runner
+# supplies its own defaults and its report's verdict, ``passed``. lemma4's
+# runner also takes --slow, as ``allow_slow``.
 _SUITES = {
-    "hypercube": (_verify_hypercube, 2, ("n", "s")),
+    "hypercube": (hypercube_report, 2, ("n", "s")),
     "lemma5": (super_connectivity_report, 1, ("n", "seed", "count")),
     "lemma4": (lemma_report_conditional_sets, 1, ("n",)),
     "chain": (chain_suite, 0, ("seed", "count")),

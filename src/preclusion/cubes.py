@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterator, Optional
 
 from .errors import BudgetError, ParameterError, PreclusionError
-from .graphs import EdgeSet, Graph, check_int, components, hypercube
+from .graphs import EdgeSet, Graph, check_int, components, edge_ids, hypercube
 from .solver import (
     AK,
     PreclusionCertificate,
@@ -39,6 +39,7 @@ __all__ = [
     "check_connected_after",
     "lemma_report_conditional_sets",
     "verify_mps_hypercube",
+    "hypercube_report",
     "star_plus_padding_counterexample",
     "super_connectivity_report",
     "verify_trivial_conditional_connected",
@@ -74,10 +75,9 @@ def _check_two_path(g: Graph, p: TwoPath) -> None:
 def incident_pair_set(g: Graph, edge_id: int) -> EdgeSet:
     """I(uv) = I(u) union I(v) minus {uv}; size 2n-2 on the n-cube."""
     check_int(edge_id, "edge_id", 0)
-    if edge_id >= g.m:
-        raise ParameterError(f"edge index {edge_id} out of range for m={g.m}")
-    u, v = g.edges[edge_id]
-    return EdgeSet(g, (g.incident(u) | g.incident(v)) - {edge_id})
+    (eid,) = edge_ids(g, (edge_id,))
+    u, v = g.edges[eid]
+    return EdgeSet(g, (g.incident(u) | g.incident(v)) - {eid})
 
 
 def trivial_conditional_set(g: Graph, p: TwoPath) -> EdgeSet:
@@ -180,6 +180,15 @@ def verify_mps_hypercube(n: int, s: int) -> PreclusionCertificate:
         note = "upper bound verified by construction; lower bound cited, not re-derived"
     return PreclusionCertificate(mp_s(s), value, witness, evidence_for(g, witness),
                                  note=note)
+
+
+def hypercube_report(n: int, s: int) -> dict:
+    """The ``verify hypercube`` suite: :func:`verify_mps_hypercube`'s
+    certificate, which passes when its value is the theorem's 2n-2."""
+    cert = verify_mps_hypercube(n, s)
+    expected = 2 * n - 2
+    return {"n": n, "s": s, "expected": expected, "certificate": cert.to_dict(),
+            "passed": cert.value == expected}
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -269,6 +269,26 @@ class PreclusionCertificate:
     @property
     def feasible(self) -> bool:
         return not math.isinf(self.value)
+
+    def to_dict(self) -> dict:
+        """The certificate as plain JSON values, the form reports and the
+        answer ledger share: everything but ``stats``, with ``reason`` and
+        ``note`` only when present."""
+        out: dict = {"kind": self.kind.label(), "value": _json_value(self.value),
+                     "witness": None if self.witness is None else list(self.witness.ids),
+                     "evidence": None if self.evidence is None else asdict(self.evidence)}
+        if self.witness is not None:
+            out["witness_edges"] = [list(pair) for pair in self.witness.pairs()]
+        if self.reason is not None:
+            out["reason"] = self.reason
+        if self.note is not None:
+            out["note"] = self.note
+        return out
+
+
+def _json_value(value: float):
+    """A preclusion value as JSON: an int, or ``"infinity"``."""
+    return "infinity" if math.isinf(value) else int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +778,7 @@ def chain_suite(seed: int = 0, count: int = 100) -> dict:
                 "index": index,
                 "n": n,
                 "edges": [list(e) for e in g.edges],
-                "values": [v if not math.isinf(v) else "infinity" for v in values],
+                "values": [_json_value(v) for v in values],
             })
     return {
         "seed": seed,

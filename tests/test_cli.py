@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from preclusion import emit, hypercube, mp_s
-from preclusion.cli import RunReport, main
+from preclusion.cli import _SUITES, RunReport, main
+from preclusion.cubes import hypercube_report
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -84,6 +85,10 @@ def test_schema_gives_stats_a_shape(tmp_path, capsys):
                    dict(report["stats"], side_prunes="0"), []):
         with pytest.raises(jsonschema.ValidationError):
             validate_schema(dict(report, stats=broken))
+    # The result is a certificate, closed to other keys.
+    with pytest.raises(jsonschema.ValidationError):
+        validate_schema(dict(report, result={"kind": 5, "value": -3.5, "witness": "nope",
+                                             "bogus": 1}))
 
 
 def test_solve_reads_the_json_gen_writes(tmp_path, capsys):
@@ -217,6 +222,8 @@ def test_verify_hypercube(capsys):
     assert report["result"]["passed"]
     assert report["result"]["certificate"]["value"] == 4
     validate_schema(report)
+    del report["result"]["suite"]
+    assert hypercube_report(3, 2) == report["result"]
 
 
 def test_verify_hypercube_reports_a_refuted_bound_as_a_failure(capsys, monkeypatch):
@@ -233,6 +240,12 @@ def test_verify_hypercube_reports_a_refuted_bound_as_a_failure(capsys, monkeypat
     assert result["certificate"]["witness"] == [0, 1, 2]
     assert "refuted" in result["certificate"]["note"]
     validate_schema(report_of(out))
+
+
+def test_every_suite_runner_is_a_library_function():
+    # The CLI keeps no suite rule of its own: each runner's report, verdict
+    # included, comes from the library.
+    assert all(runner.__module__ != "preclusion.cli" for runner, _, _ in _SUITES.values())
 
 
 def test_verify_lemma4(capsys):

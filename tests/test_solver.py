@@ -142,6 +142,19 @@ def test_solve_budget_decision_mode():
     assert "at most 2" in under.reason
     at = solve(q3, MP, budget=3)
     assert at.value == 3
+    # to_dict() is the certificate's one plain form: no stats, and reason
+    # and note only when present.
+    assert under.to_dict() == {"kind": "mp", "value": "infinity", "witness": None,
+                               "evidence": None, "reason": under.reason}
+    found = solve(q3, MP, deterministic=True).to_dict()
+    assert found == {"kind": "mp", "value": 3, "witness": [0, 1, 2],
+                     "witness_edges": [list(q3.edges[e]) for e in (0, 1, 2)],
+                     "evidence": {"nu_after": 3, "component_min_size": 1,
+                                  "connected": False}}
+    noted = verify_mps_hypercube(3, 2).to_dict()
+    assert noted["kind"] == "mp_2" and noted["value"] == 4 and "reason" not in noted
+    assert noted["note"].startswith("lower bound verified exhaustively")
+    assert noted["witness_edges"] == [list(q3.edges[e]) for e in noted["witness"]]
 
 
 def test_precluding_subsets_rejects_a_negative_size():

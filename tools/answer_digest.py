@@ -11,9 +11,10 @@ Run from the root of a checkout:
 lists are built by ``BUILDERS`` in its ``perfbench/workloads.py``, so the
 same script compares two checkouts: run it from each root, each in its own
 process, and diff the output. Each instance runs once, in list order. Each
-line carries ``answers``, a sha256 over a certificate's value, reason, note,
-witness ids and evidence, or over a suite's report (``fuzz_equivalence``,
-the hypercube lemma) without its ``subsets_checked``; and ``counters``, a
+line carries ``answers``, a sha256 over a certificate's ``to_dict()`` (the
+form a report gives it: kind, value, witness ids and edges, evidence, and
+any reason and note), or over a suite's report (``fuzz_equivalence``, the
+hypercube lemma) without its ``subsets_checked``; and ``counters``, a
 sha256 over each certificate's sorted ``stats`` and each report's
 ``subsets_checked``. A change that only moves the search's work moves only
 ``counters``. With no arguments it covers ``hypercube`` seeds 1-6,
@@ -95,6 +96,7 @@ INVOCATIONS = [
     "reduce k33.txt --check 2 --s 2",
     "reduce empty.txt --check 0",
     "verify hypercube 3 2",
+    "verify hypercube 6 2",
     "verify lemma4 3",
     "verify lemma5 3",
     "verify lemma5 4 1 200",
@@ -188,15 +190,7 @@ def canonical(result) -> tuple[str, str]:
         answer = dict(result)
         counters = answer.pop("subsets_checked", None)
     else:
-        evidence = result.evidence
-        answer = {
-            "value": repr(result.value),
-            "reason": result.reason,
-            "note": result.note,
-            "witness": None if result.witness is None else sorted(result.witness.members),
-            "evidence": None if evidence is None else [
-                evidence.nu_after, evidence.component_min_size, evidence.connected],
-        }
+        answer = result.to_dict()
         counters = sorted((result.stats or {}).items())
     return (json.dumps(answer, sort_keys=True, default=repr),
             json.dumps(counters, sort_keys=True))
